@@ -58,6 +58,13 @@ def cmd_state_info(args) -> int:
         print(f"state-info: cannot load state: {exc}", file=sys.stderr)
         return 2
     report = states.ppt_check(state)
+    if report.min_eig_state < states.PSD_EIG_TOL:
+        print(
+            "state-info: not a state: minimum eigenvalue "
+            f"{report.min_eig_state:.6g} < {states.PSD_EIG_TOL:g}",
+            file=sys.stderr,
+        )
+        return 2
     task = protocol.matched_task(state)
     closed = protocol.witness_closed_form(state, task)
     ccnr_val = report.ccnr
@@ -86,31 +93,29 @@ def cmd_state_info(args) -> int:
 
 def cmd_witness(args) -> int:
     per_copy = states.rho_be()
-    if args.strategy == "classical-d4":
-        if args.n_copies != 1:
-            print("witness: classical-d4 is a one-copy strategy", file=sys.stderr)
-            return 2
-        strat = protocol.classical_optimal_strategy_d4()
-        task = protocol.TaskSpec(
-            n_copies=1, channel_dim=4, signs=protocol.default_signs()
-        )
-        state = None
-    else:
-        state = (
-            per_copy
-            if args.n_copies == 1
-            else states.tensor_power(per_copy, args.n_copies)
-        )
-        strat = protocol.be_strategy(state)
-        task = protocol.matched_task(state)
+    classical = args.strategy == "classical-d4"
+    if classical and args.n_copies != 1:
+        print("witness: classical-d4 is a one-copy strategy", file=sys.stderr)
+        return 2
+    if classical and args.method == "closed":
+        print("witness: closed form needs the entangled strategy", file=sys.stderr)
+        return 2
 
     try:
+        task = protocol.TaskSpec(
+            n_copies=args.n_copies,
+            channel_dim=4**args.n_copies,
+            signs=per_copy.sign_pattern(),
+        )
         if args.method == "closed":
-            if state is None:
-                print("witness: closed form needs the entangled strategy", file=sys.stderr)
-                return 2
-            result = protocol.witness_closed_form(state, task)
+            # the closed form takes the per-copy state for any copy count
+            result = protocol.witness_closed_form(per_copy, task)
         elif args.method == "brute":
+            strat = (
+                protocol.classical_optimal_strategy_d4()
+                if classical
+                else protocol.be_strategy(states.tensor_power(per_copy, args.n_copies))
+            )
             samples = None
             if args.n_copies == 2:
                 samples = protocol.sample_triples(2, args.samples, seed=args.seed)
@@ -190,7 +195,7 @@ def cmd_seesaw(args) -> int:
             tol=args.tol,
             seed=args.seed,
         )
-        report = runner(cfg, workers=args.workers)
+        report = runner(cfg)
     except ValueError as exc:
         print(f"seesaw: {exc}", file=sys.stderr)
         return 2
@@ -225,7 +230,7 @@ def cmd_ccnr_search(args) -> int:
             max_iters=args.max_iters,
             seed=args.seed,
         )
-        report = ccnr_ascent_bloch_ppt(args.local_dim, cfg, workers=args.workers)
+        report = ccnr_ascent_bloch_ppt(args.local_dim, cfg)
     except ValueError as exc:
         print(f"ccnr-search: {exc}", file=sys.stderr)
         return 2
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=max(1, os.cpu_count() or 1),
-            help="restart/chunk parallelism (results do not depend on it)",
+            help="threads for brute-force witness sums (results do not depend on it)",
         )
 
     p = sub.add_parser("state-info", help="diagnostics for a Bloch-diagonal state")

@@ -1,8 +1,9 @@
 """Dense complex linear algebra helpers.
 
 Everything in this package runs through the functions below so that
-Hermiticity checking, eigenvalue ordering and eigenvector phase fixing
-are done in exactly one place.
+Hermiticity checking and eigenvalue ordering are done in exactly one
+place.  The matrix functions accept a single matrix or a stack of
+matrices along leading axes.
 """
 
 from __future__ import annotations
@@ -21,60 +22,53 @@ KRON_ENTRY_CAP = 1 << 20
 
 
 class Spectrum(NamedTuple):
-    eigenvalues: np.ndarray   # real, sorted descending
+    eigenvalues: np.ndarray   # real, sorted descending along the last axis
     eigenvectors: np.ndarray  # columns, matching order
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(np.conj(a), -1, -2)
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest absolute entry of A - A^dagger."""
+    """Largest absolute entry of A - A^dagger over a matrix or a stack."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
 
 
 def require_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Return the symmetrised matrix (A + A^dagger)/2.
+    """Return the symmetrised matrix (A + A^dagger)/2, or stack of them.
 
-    Rejects non-square input and matrices whose Hermiticity defect
-    exceeds ``atol``; the defect is included in the error message.
+    Rejects non-square input and input whose Hermiticity defect exceeds
+    ``atol``; the defect is included in the error message.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     defect = hermiticity_defect(a)
     if defect > atol:
         raise ValueError(
             f"matrix is not Hermitian: max|A - A^dagger| = {defect:.3e} > {atol:.1e}"
         )
-    return 0.5 * (a + a.conj().T)
-
-
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero component is real positive.
-
-    Components below 1e-12 in magnitude count as zero so that the chosen
-    pivot is stable under roundoff-level perturbations.
-    """
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        pivot = col[nz[0]] if nz.size else 0.0
-        if pivot != 0.0:
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
+    return 0.5 * (a + dagger(a))
 
 
 def eigh(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or a stack (..., n, n).
 
-    Eigenvalues come out sorted descending; each eigenvector's phase is
-    fixed so that its first nonzero component is real positive, which
-    makes the output reproducible run to run.
+    Eigenvalues come out sorted descending along the last axis; the sort
+    is stable, so tied eigenvalues keep LAPACK's order.  Eigenvector
+    phases are LAPACK's: use this only where the result does not depend
+    on them (spectra, projectors, matrix functions).
     """
     h = require_hermitian(a, atol)
     w, v = np.linalg.eigh(h)
-    order = np.argsort(-w, kind="stable")
-    return Spectrum(eigenvalues=w[order], eigenvectors=_fix_phases(v[:, order]))
+    order = np.argsort(-w, axis=-1, kind="stable")
+    return Spectrum(
+        eigenvalues=np.take_along_axis(w, order, axis=-1),
+        eigenvectors=np.take_along_axis(v, order[..., None, :], axis=-1),
+    )
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

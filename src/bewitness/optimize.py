@@ -18,7 +18,6 @@ clip-in-eigenbasis maps: two matrix-vector products each.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,107 +117,82 @@ class OptimizationReport:
 
 
 # ---------------------------------------------------------------------------
-# see-saw over separable strategies
+# see-saw over separable strategies; message states and decoders are
+# (16, D, D) stacks, indexed by the input x and the output z respectively
+
+_F = pauli.F_TABLE.astype(float)
 
 
-def _o_operators(taus: list[np.ndarray]) -> list[np.ndarray]:
+def _o_operators(taus: np.ndarray) -> np.ndarray:
     """O_z = sum_x f_xz tau_x for the 16 outputs."""
-    stack = np.stack(taus)
-    f = pauli.F_TABLE.astype(float)
-    return list(np.einsum("xz,xab->zab", f, stack))
+    return np.einsum("xz,xab->zab", _F, np.asarray(taus))
 
 
-def _sign_operator(o: np.ndarray) -> tuple[np.ndarray, float]:
-    """Matrix sign of a Hermitian operator and its trace norm.
+def _correlations(taus: np.ndarray, decoders: np.ndarray) -> np.ndarray:
+    """tr(O_z M_z) for the 16 outputs."""
+    return np.einsum("zab,zba->z", _o_operators(taus), np.asarray(decoders)).real
 
-    Zero eigenvalues get sign +1; any fixed choice is optimal and this
-    one keeps runs reproducible.
-    """
-    spec = linalg.eigh(o)
-    sgn = np.where(spec.eigenvalues < 0, -1.0, 1.0)
-    v = spec.eigenvectors
-    mat = (v * sgn) @ v.conj().T
-    return mat, float(np.sum(np.abs(spec.eigenvalues)))
+
+def _projectors(vecs: np.ndarray) -> np.ndarray:
+    """Rank-1 projectors v v^dagger for a stack of unit vectors."""
+    return np.einsum("xa,xb->xab", vecs, vecs.conj())
 
 
 def optimal_measurement(
-    states_a: list[np.ndarray],
-    states_b: list[np.ndarray],
+    states_a: np.ndarray,
+    states_b: np.ndarray,
     signs: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Best product decoders for fixed message states.
 
     For each output z the optimal observable is the product of the
     matrix signs of O_z on either side, carrying the task sign on the
     A factor.  The witness this measurement attains is
     (1/16^3) sum_z ||O_a_z||_1 ||O_b_z||_1, independent of the signs.
+    Zero eigenvalues get sign +1; any fixed choice is optimal and this
+    one keeps runs reproducible.
     """
-    signs = np.asarray(signs, dtype=np.int64)
-    dec_a = []
-    dec_b = []
-    for z, (oa, ob) in enumerate(zip(_o_operators(states_a), _o_operators(states_b))):
-        ma, _ = _sign_operator(oa)
-        mb, _ = _sign_operator(ob)
-        dec_a.append(float(signs[z]) * ma)
-        dec_b.append(mb)
-    return dec_a, dec_b
+    decoders = []
+    for taus in (states_a, states_b):
+        spec = linalg.eigh(_o_operators(taus))
+        v = spec.eigenvectors
+        sgn = np.where(spec.eigenvalues < 0, -1.0, 1.0)
+        decoders.append((v * sgn[:, None, :]) @ linalg.dagger(v))
+    task_signs = np.asarray(signs, dtype=float)[:, None, None]
+    return task_signs * decoders[0], decoders[1]
 
 
 def _witness_product_decoders(
     states_a, states_b, dec_a, dec_b, signs
 ) -> float:
     """(1/16^3) sum_z s_z tr(O_a_z M_a_z) tr(O_b_z M_b_z)."""
-    total = 0.0
-    for z, (oa, ob) in enumerate(zip(_o_operators(states_a), _o_operators(states_b))):
-        ta = np.trace(oa @ dec_a[z]).real
-        tb = np.trace(ob @ dec_b[z]).real
-        total += float(signs[z]) * ta * tb
-    return _WITNESS_SCALE * total
-
-
-def _effective_operators(
-    other_states, dec_self, dec_other, signs
-) -> np.ndarray:
-    """Effective operators A_x such that W = sum_x tr(tau_x A_x).
-
-    With product decoders the partial trace collapses to a scalar:
-    A_x = (1/16^3) sum_z s_z f_xz tr(O_other_z M_other_z) M_self_z.
-    """
-    betas = np.array(
-        [np.trace(o @ m).real for o, m in zip(_o_operators(other_states), dec_other)]
-    )
-    coeff = pauli.F_TABLE.astype(float) * (signs.astype(float) * betas)[None, :]
-    dec_stack = np.stack(dec_self)
-    return _WITNESS_SCALE * np.einsum("xz,zab->xab", coeff, dec_stack)
+    ta = _correlations(states_a, dec_a)
+    tb = _correlations(states_b, dec_b)
+    return _WITNESS_SCALE * float(np.sum(signs * ta * tb))
 
 
 def optimal_states_given_measurement(
-    dec_self: list[np.ndarray],
-    dec_other: list[np.ndarray],
-    other_states: list[np.ndarray],
+    dec_self: np.ndarray,
+    dec_other: np.ndarray,
+    other_states: np.ndarray,
     signs: np.ndarray,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Closed-form state half-step: rank-1 projector onto the top
     eigenvector of each effective operator.
 
-    Ties inherit the eigendecomposition's deterministic ordering and
-    phase convention.  The witness cannot decrease under this update.
+    With product decoders the witness is W = sum_x tr(tau_x A_x), where
+    the partial trace collapses to a scalar:
+    A_x = (1/16^3) sum_z s_z f_xz tr(O_other_z M_other_z) M_self_z.
+    Ties inherit the eigendecomposition's deterministic ordering.  The
+    witness cannot decrease under this update.
     """
-    eff = _effective_operators(other_states, dec_self, dec_other, signs)
-    out = []
-    for a in eff:
-        vec = linalg.eigh(a).eigenvectors[:, 0]
-        out.append(np.outer(vec, vec.conj()))
-    return out
+    weights = _F * (signs * _correlations(other_states, dec_other))
+    eff = _WITNESS_SCALE * np.einsum("xz,zab->xab", weights, np.asarray(dec_self))
+    return _projectors(linalg.eigh(eff).eigenvectors[..., 0])
 
 
-def _level_states(levels: np.ndarray, dim: int) -> list[np.ndarray]:
-    out = []
-    for level in levels:
-        tau = np.zeros((dim, dim), dtype=complex)
-        tau[level, level] = 1.0
-        out.append(tau)
-    return out
+def _level_states(levels: np.ndarray, dim: int) -> np.ndarray:
+    return _projectors(np.eye(dim, dtype=complex)[levels])
 
 
 def _diag_o(levels: np.ndarray, dim: int) -> np.ndarray:
@@ -317,13 +291,11 @@ def _classical_swap_sweep(
     return levels
 
 
-def _random_pure_states(rng: np.random.Generator, dim: int, count: int):
-    out = []
-    for _ in range(count):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        v /= np.linalg.norm(v)
-        out.append(np.outer(v, v.conj()))
-    return out
+def _random_pure_states(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    # each state's real part, then its imaginary part: the seeded draw order
+    g = rng.normal(size=(count, 2, dim))
+    v = g[:, 0] + 1j * g[:, 1]
+    return _projectors(v / np.linalg.norm(v, axis=1, keepdims=True))
 
 
 def _classical_norms(levels: np.ndarray, dim: int) -> np.ndarray:
@@ -332,7 +304,7 @@ def _classical_norms(levels: np.ndarray, dim: int) -> np.ndarray:
 
 def _classical_restart(
     cfg: SeesawConfig, restart: int, signs: np.ndarray
-) -> tuple[float, int, bool, bool, list, list, list, list]:
+) -> tuple[float, int, bool, bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One classical restart: ascent over deterministic encodings.
 
     Tracks the witness with the measurement re-optimised after every
@@ -389,7 +361,7 @@ def _classical_restart(
 
 def _seesaw_restart(
     cfg: SeesawConfig, restart: int, signs: np.ndarray
-) -> tuple[float, int, bool, bool, list, list, list, list]:
+) -> tuple[float, int, bool, bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng([cfg.seed, restart])
     d = cfg.channel_dim
     states_a = _random_pure_states(rng, d, 16)
@@ -429,21 +401,11 @@ def _seesaw_restart(
 
 
 def _run_seesaw(
-    cfg: SeesawConfig, signs: np.ndarray | None, classical: bool, workers: int
+    cfg: SeesawConfig, signs: np.ndarray | None, classical: bool
 ) -> OptimizationReport:
     signs = np.asarray(signs if signs is not None else protocol.default_signs())
-
-    def run(idx: int):
-        if classical:
-            return _classical_restart(cfg, idx, signs)
-        return _seesaw_restart(cfg, idx, signs)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(cfg.n_restarts)))
-    else:
-        results = [run(i) for i in range(cfg.n_restarts)]
-
+    restart = _classical_restart if classical else _seesaw_restart
+    results = [restart(cfg, i, signs) for i in range(cfg.n_restarts)]
     finals = [r[0] for r in results]
     best_idx = int(np.argmax(finals))
     best = results[best_idx]
@@ -475,17 +437,17 @@ def _run_seesaw(
 
 
 def seesaw_quantum(
-    cfg: SeesawConfig, signs: np.ndarray | None = None, workers: int = 1
+    cfg: SeesawConfig, signs: np.ndarray | None = None
 ) -> OptimizationReport:
     """Alternating maximisation over pure message states and decoders."""
-    return _run_seesaw(cfg, signs, classical=False, workers=workers)
+    return _run_seesaw(cfg, signs, classical=False)
 
 
 def seesaw_classical(
-    cfg: SeesawConfig, signs: np.ndarray | None = None, workers: int = 1
+    cfg: SeesawConfig, signs: np.ndarray | None = None
 ) -> OptimizationReport:
     """Same loop with messages pinned to computational-basis levels."""
-    return _run_seesaw(cfg, signs, classical=True, workers=workers)
+    return _run_seesaw(cfg, signs, classical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +486,10 @@ def joint_eigenvalue_matrix(local_dim: int) -> np.ndarray:
 
 
 class _BlochPolytope:
-    """Feasible set {rho PSD, rho^T_B PSD, unit trace} in lambda space."""
+    """Feasible set {rho PSD, rho^T_B PSD, unit trace} in lambda space.
+
+    Every map takes an array of coefficient vectors, one per row.
+    """
 
     def __init__(self, local_dim: int):
         self.local_dim = local_dim
@@ -532,51 +497,6 @@ class _BlochPolytope:
         n = local_dim.bit_length() - 1
         self.t = pauli.pauli_transpose_signs(n).astype(float)
         self.id_coeff = 1.0 / local_dim
-
-    def eigs(self, lam: np.ndarray) -> np.ndarray:
-        return self.c @ lam
-
-    def eigs_pt(self, lam: np.ndarray) -> np.ndarray:
-        return self.c @ (self.t * lam)
-
-    def project_psd(self, lam: np.ndarray) -> np.ndarray:
-        e = self.c @ lam
-        return self.c.T @ np.maximum(e, 0.0)
-
-    def project_psd_pt(self, lam: np.ndarray) -> np.ndarray:
-        e = self.c @ (self.t * lam)
-        return self.t * (self.c.T @ np.maximum(e, 0.0))
-
-    def project_trace(self, lam: np.ndarray) -> np.ndarray:
-        out = lam.copy()
-        out[0] = self.id_coeff
-        return out
-
-    def dykstra(
-        self, lam: np.ndarray, cap: int, tol: float
-    ) -> tuple[np.ndarray, bool]:
-        """Projection onto the intersection; returns (point, converged)."""
-        x = lam
-        p1 = np.zeros_like(lam)
-        p2 = np.zeros_like(lam)
-        p3 = np.zeros_like(lam)
-        for _ in range(cap):
-            y1 = self.project_psd(x + p1)
-            p1 = x + p1 - y1
-            y2 = self.project_psd_pt(y1 + p2)
-            p2 = y1 + p2 - y2
-            y3 = self.project_trace(y2 + p3)
-            p3 = y2 + p3 - y3
-            drift = float(np.max(np.abs(y3 - x)))
-            x = y3
-            if drift < tol:
-                return x, True
-        return x, False
-
-    def min_eig(self, lam: np.ndarray) -> float:
-        return float(min(np.min(self.eigs(lam)), np.min(self.eigs_pt(lam))))
-
-    # row-wise variants: one restart per row, identical maps
 
     def project_psd_rows(self, lam: np.ndarray) -> np.ndarray:
         return np.maximum(lam @ self.c.T, 0.0) @ self.c
@@ -713,7 +633,7 @@ def _ascent_all(poly: _BlochPolytope, cfg: AscentConfig) -> dict:
 
 
 def ccnr_ascent_bloch_ppt(
-    local_dim: int, cfg: AscentConfig | None = None, workers: int = 1
+    local_dim: int, cfg: AscentConfig | None = None
 ) -> OptimizationReport:
     """Maximise sum |lambda_k| over Bloch-diagonal PPT states.
 
@@ -722,18 +642,13 @@ def ccnr_ascent_bloch_ppt(
     of sum_k s_k lambda_k at fixed signs, projections by Dykstra's
     alternating scheme onto {rho >= 0} cap {rho^T_B >= 0} cap {unit
     trace}.  Outer loop refreshes s from the best iterate's signs.
-
-    Restarts run as one vectorized batch (each restart is a row), so
-    `workers` does not change the result; it is kept for interface
-    parity with the see-saw searches.
+    Restarts run as one vectorized batch, one restart per row.
     """
     if local_dim not in (4, 8, 16):
         raise ValueError(
             "CCNR search needs a Pauli-string product basis; "
             "local dimension must be one of 4, 8, 16"
         )
-    if workers < 1:
-        raise ValueError("workers must be positive")
     cfg = cfg or AscentConfig()
     poly = _BlochPolytope(local_dim)
     out = _ascent_all(poly, cfg)

@@ -101,29 +101,26 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if len(self.decoders_a) != 16 or len(self.decoders_b) != 16:
             raise ValueError("expected 16 per-copy decoder factors per side")
-        for m in list(self.decoders_a) + list(self.decoders_b):
-            h = linalg.require_hermitian(m)
-            w = linalg.eigh(h).eigenvalues
-            if w[0] > 1 + OBSERVABLE_EIG_SLACK or w[-1] < -1 - OBSERVABLE_EIG_SLACK:
-                raise ValueError("decoder factor eigenvalues leave [-1, 1]")
+        w = linalg.eigh(np.concatenate([self.decoders_a, self.decoders_b])).eigenvalues
+        if w.max() > 1 + OBSERVABLE_EIG_SLACK or w.min() < -1 - OBSERVABLE_EIG_SLACK:
+            raise ValueError("decoder factor eigenvalues leave [-1, 1]")
         if self.kind == "prepared_states":
             if self.n_copies != 1:
                 raise ValueError("prepared-state strategies are single copy here")
             if self.states_a is None or self.states_b is None:
                 raise ValueError("prepared_states strategy needs state tables")
-            for tau in list(self.states_a) + list(self.states_b):
-                h = linalg.require_hermitian(tau)
-                w = linalg.eigh(h).eigenvalues
-                if w[-1] < states.PSD_EIG_TOL or abs(np.trace(h).real - 1) > 1e-10:
-                    raise ValueError("prepared state is not a density matrix")
+            taus = np.concatenate([self.states_a, self.states_b])
+            w = linalg.eigh(taus).eigenvalues
+            traces = np.trace(taus, axis1=-2, axis2=-1).real
+            if w.min() < states.PSD_EIG_TOL or np.max(np.abs(traces - 1)) > 1e-10:
+                raise ValueError("prepared state is not a density matrix")
         else:
             if self.shared_state is None or self.encoders_a is None or self.encoders_b is None:
                 raise ValueError("entangled strategy needs shared state and encoders")
-            for u in list(self.encoders_a) + list(self.encoders_b):
-                u = np.asarray(u)
-                gram = u.conj().T @ u
-                if np.max(np.abs(gram - np.eye(u.shape[0]))) > UNITARITY_ATOL:
-                    raise ValueError("encoder is not unitary within tolerance")
+            u = np.concatenate([self.encoders_a, self.encoders_b])
+            gram = linalg.dagger(u) @ u
+            if np.max(np.abs(gram - np.eye(u.shape[-1]))) > UNITARITY_ATOL:
+                raise ValueError("encoder is not unitary within tolerance")
 
     def dense_decoder(self, zs: tuple[int, ...]) -> np.ndarray:
         da = linalg.kron_all([self.decoders_a[z - 1] for z in zs])

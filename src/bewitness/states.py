@@ -50,6 +50,8 @@ class BlochDiagonalState:
             raise ValueError(
                 f"lambda vector has length {lam.shape}, expected 16^{self.n_copies}"
             )
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("lambda vector has non-finite entries")
         ident = lam[0]
         want = 1.0 / 4**self.n_copies
         if abs(ident - want) > 1e-12:

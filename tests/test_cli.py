@@ -123,6 +123,38 @@ def test_state_info_malformed_file(tmp_path, capsys):
     assert main(["state-info", "--state", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_state_info_rejects_non_finite_file(tmp_path, capsys, bad):
+    data = states.state_to_dict(states.rho_be())
+    data["lambdas"][3] = bad
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["state-info", "--state", str(path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_state_info_rejects_non_psd_file(tmp_path, capsys):
+    lam = states.rho_be().lambdas.copy()
+    lam[3] = 5.0     # lambda_4
+    path = _write_state(tmp_path / "not_psd.json",
+                        states.BlochDiagonalState(n_copies=1, lambdas=lam))
+    assert main(["state-info", "--state", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a state: minimum eigenvalue -" in captured.err
+
+
+def test_witness_closed_form_six_copies_skips_tensor_power(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed form must not build the tensor power")
+
+    monkeypatch.setattr(states, "tensor_power", refuse)
+    assert main(["witness", "--n-copies", "6", "--method", "closed"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["value"] == 0.375**6
+    assert data["task"]["channel_dim"] == 4**6 and data["n_copies"] == 6
+
+
 def test_seesaw_classical_csv_row(capsys):
     code = main(["seesaw", "--kind", "classical", "--channel-dim", "4",
                  "--restarts", "3", "--max-iters", "100", "--format", "csv"])

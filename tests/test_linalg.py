@@ -48,16 +48,20 @@ def test_eigh_roundtrip_and_ordering():
         assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
 
 
-def test_eigh_phase_convention():
-    """First nonzero component of every eigenvector is real positive."""
+def test_eigh_stack_matches_members():
+    """A (k, n, n) stack: each member descending and reconstructed."""
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        spec = linalg.eigh(_random_hermitian(rng, 8))
-        for j in range(8):
-            col = spec.eigenvectors[:, j]
-            nz = np.nonzero(np.abs(col) > 1e-12)[0]
-            pivot = col[nz[0]]
-            assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+    stack = np.stack([_random_hermitian(rng, 6) for _ in range(5)])
+    spec = linalg.eigh(stack)
+    w, v = spec.eigenvalues, spec.eigenvectors
+    assert w.shape == (5, 6) and v.shape == (5, 6, 6)
+    for h, wk, vk in zip(stack, w, v):
+        assert np.all(np.diff(wk) <= 1e-12)
+        assert np.max(np.abs((vk * wk) @ vk.conj().T - h)) < 1e-10
+        assert np.max(np.abs(wk - linalg.eigh(h).eigenvalues)) < 1e-12
+    stack[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.eigh(stack)
 
 
 def test_eigh_rejects_non_hermitian():

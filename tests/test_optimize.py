@@ -108,14 +108,6 @@ def test_seesaw_classical_full_encoding_at_d16():
     assert max(rep.restart_values) <= 1.0 + 1e-9
 
 
-def test_seesaw_worker_count_is_invisible():
-    cfg = SeesawConfig(channel_dim=4, n_restarts=4, max_iters=100)
-    a = seesaw_classical(cfg, workers=1)
-    b = seesaw_classical(cfg, workers=3)
-    assert a.best_value == b.best_value
-    assert a.restart_values == b.restart_values
-
-
 def test_seesaw_quantum_sound_at_d4():
     rep = seesaw_quantum(SeesawConfig(channel_dim=4, n_restarts=2, max_iters=60))
     assert rep.best_value >= 0.24
@@ -159,7 +151,7 @@ def test_psd_projection_matches_dense_clip(d, n):
     rng = np.random.default_rng(37)
     for _ in range(3):
         lam = rng.normal(size=d * d) * 0.1
-        proj = poly.project_psd(lam)
+        proj = poly.project_psd_rows(lam[None])[0]
         dense = states.bloch_densify(lam, basis)
         w, v = np.linalg.eigh(dense)
         clipped = (v * np.maximum(w, 0.0)) @ v.conj().T
@@ -176,7 +168,7 @@ def test_psd_pt_projection_matches_dense_route():
     basis = pauli.pauli_basis(n)
     rng = np.random.default_rng(41)
     lam = rng.normal(size=16) * 0.1
-    proj = poly.project_psd_pt(lam)
+    proj = poly.project_psd_pt_rows(lam[None])[0]
     dense = states.bloch_densify(lam, basis)
     pt = linalg.partial_transpose(dense, d, d)
     w, v = np.linalg.eigh(pt)
@@ -189,39 +181,28 @@ def test_psd_pt_projection_matches_dense_route():
 def test_dykstra_fixes_feasible_points():
     poly = _BlochPolytope(4)
     lam = states.rho_be().lambdas
-    out, converged = poly.dykstra(lam, cap=50, tol=1e-11)
-    assert converged
-    assert np.max(np.abs(out - lam)) < 1e-12
+    out, converged = poly.dykstra_rows(lam[None], cap=50, tol=1e-11)
+    assert converged.all()
+    assert np.max(np.abs(out[0] - lam)) < 1e-12
 
 
 def test_dykstra_output_is_feasible():
     poly = _BlochPolytope(4)
     rng = np.random.default_rng(43)
-    for _ in range(5):
-        start = rng.normal(size=16) * 0.2
-        start[0] = 0.25
-        out, converged = poly.dykstra(start, cap=2000, tol=1e-11)
-        assert converged
-        assert poly.min_eig(out) >= -1e-9
-        assert abs(out[0] - 0.25) < 1e-12
-
-
-def test_dykstra_row_batch_matches_single():
-    poly = _BlochPolytope(4)
-    rng = np.random.default_rng(47)
-    block = rng.normal(size=(4, 16)) * 0.2
-    block[:, 0] = 0.25
-    singles = [poly.dykstra(row, cap=2000, tol=1e-11)[0] for row in block]
-    batch, conv = poly.dykstra_rows(block, cap=2000, tol=1e-11)
-    assert conv.all()
-    assert np.max(np.abs(batch - np.stack(singles))) < 1e-9
+    # one block: rows converge, and freeze, after different sweep counts
+    start = rng.normal(size=(5, 16)) * 0.2
+    start[:, 0] = 0.25
+    out, converged = poly.dykstra_rows(start, cap=2000, tol=1e-11)
+    assert converged.all()
+    assert poly.min_eig_rows(out).min() >= -1e-9
+    assert np.max(np.abs(out[:, 0] - 0.25)) < 1e-12
 
 
 def test_ccnr_ascent_reaches_target_at_d4():
     rep = ccnr_ascent_bloch_ppt(4, AscentConfig(n_restarts=3, max_iters=300))
     assert rep.best_value >= 1.4999
     assert rep.best_value <= 1.5 + 1e-6
-    assert _BlochPolytope(4).min_eig(rep.best_lambdas) >= -1e-8
+    assert _BlochPolytope(4).min_eig_rows(rep.best_lambdas[None])[0] >= -1e-8
     assert abs(rep.best_lambdas[0] - 0.25) < 1e-12
     assert rep.min_eig_seen is not None
 
@@ -239,9 +220,8 @@ def test_ccnr_ascent_deterministic_and_worker_independent():
     cfg = AscentConfig(n_restarts=2, max_iters=100)
     a = ccnr_ascent_bloch_ppt(4, cfg)
     b = ccnr_ascent_bloch_ppt(4, cfg)
-    c = ccnr_ascent_bloch_ppt(4, cfg, workers=3)
-    assert a.best_value == b.best_value == c.best_value
-    assert a.restart_values == b.restart_values == c.restart_values
+    assert a.best_value == b.best_value
+    assert a.restart_values == b.restart_values
 
 
 def test_ccnr_ascent_rejects_unsupported_dimensions():
@@ -249,8 +229,6 @@ def test_ccnr_ascent_rejects_unsupported_dimensions():
         ccnr_ascent_bloch_ppt(5)
     with pytest.raises(ValueError, match="4, 8, 16"):
         ccnr_ascent_bloch_ppt(2)
-    with pytest.raises(ValueError, match="workers"):
-        ccnr_ascent_bloch_ppt(4, AscentConfig(n_restarts=1, max_iters=10), workers=0)
 
 
 def test_report_serialization_round_trip():
