@@ -57,16 +57,17 @@ def cmd_state_info(args) -> int:
     except (OSError, ValueError, KeyError, states.ConventionError) as exc:
         print(f"state-info: cannot load state: {exc}", file=sys.stderr)
         return 2
-    report = states.ppt_check(state)
-    if report.min_eig_state < states.PSD_EIG_TOL:
-        print(
-            "state-info: not a state: minimum eigenvalue "
-            f"{report.min_eig_state:.6g} < {states.PSD_EIG_TOL:g}",
-            file=sys.stderr,
-        )
+    try:
+        report = states.ppt_check(state)
+        if report.min_eig_state < states.PSD_EIG_TOL:
+            raise ValueError(
+                "not a state: minimum eigenvalue "
+                f"{report.min_eig_state:.6g} < {states.PSD_EIG_TOL:g}"
+            )
+        closed = protocol.witness_closed_form(state, protocol.matched_task(state))
+    except ValueError as exc:
+        print(f"state-info: {exc}", file=sys.stderr)
         return 2
-    task = protocol.matched_task(state)
-    closed = protocol.witness_closed_form(state, task)
     ccnr_val = report.ccnr
     payload = {
         "seed": args.seed,
@@ -97,8 +98,8 @@ def cmd_witness(args) -> int:
     if classical and args.n_copies != 1:
         print("witness: classical-d4 is a one-copy strategy", file=sys.stderr)
         return 2
-    if classical and args.method == "closed":
-        print("witness: closed form needs the entangled strategy", file=sys.stderr)
+    if classical and args.method != "brute":
+        print(f"witness: method {args.method} needs the entangled strategy", file=sys.stderr)
         return 2
 
     try:
@@ -274,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--out", default=None, help="also write primary output to this file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=max(1, os.cpu_count() or 1),
-            help="threads for brute-force witness sums (results do not depend on it)",
-        )
 
     p = sub.add_parser("state-info", help="diagnostics for a Bloch-diagonal state")
     p.add_argument("--state", default="rho_be", help='builtin "rho_be" or a JSON file path')
@@ -292,6 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("brute", "factored", "closed"), default="brute")
     p.add_argument("--samples", type=int, default=10_000,
                    help="triple count for sampled methods")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=max(1, os.cpu_count() or 1),
+        help="threads for two-copy brute force (results do not depend on it)",
+    )
     common(p)
     p.set_defaults(fn=cmd_witness)
 

@@ -110,6 +110,15 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+def kron_power(v: np.ndarray, n: int) -> np.ndarray:
+    """n-fold Kronecker power of a per-copy vector, first copy most
+    significant.  Not capped: callers bound n."""
+    out = v
+    for _ in range(n - 1):
+        out = np.kron(out, v)
+    return out
+
+
 def kron_all(mats: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     """Left-to-right Kronecker product of a nonempty list."""
     out = np.asarray(mats[0])

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import kron_all
+from .linalg import kron_all, kron_power
 
 # Hadamard-type sign matrix driving the task functions.  Row a, column b
 # is +1 exactly when the a-th and b-th single-qubit Paulis commute.
@@ -131,7 +131,4 @@ def pauli_basis(n_qubits: int) -> list[np.ndarray]:
 
 def pauli_transpose_signs(n_qubits: int) -> np.ndarray:
     """Signs t_k with G_k^T = t_k G_k for the n-qubit basis."""
-    t = SIGMA_TRANSPOSE_SIGNS
-    for _ in range(n_qubits - 1):
-        t = np.kron(t, SIGMA_TRANSPOSE_SIGNS)
-    return t
+    return kron_power(SIGMA_TRANSPOSE_SIGNS, n_qubits)

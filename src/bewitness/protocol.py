@@ -24,7 +24,7 @@ from .states import BlochDiagonalState
 UNITARITY_ATOL = 1e-10
 OBSERVABLE_EIG_SLACK = 1e-9
 
-_CHUNK_PAIRS = 16   # (x, y) pairs per reduction chunk, fixed for determinism
+_CHUNK_PAIRS = 16   # triples per reduction chunk, fixed for determinism
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ class TaskSpec:
 
     def flat_signs(self) -> np.ndarray:
         """Sign of each flat z-vector, s_z = prod of per-copy signs."""
-        out = self.signs
-        for _ in range(self.n_copies - 1):
-            out = np.kron(out, self.signs)
-        return out
+        return linalg.kron_power(self.signs, self.n_copies)
 
     def to_dict(self) -> dict:
         return {
@@ -134,10 +131,8 @@ def default_signs() -> np.ndarray:
 
 
 def matched_task(state: BlochDiagonalState, channel_dim: int | None = None) -> TaskSpec:
-    """Task whose signs follow the state's per-copy coefficient signs."""
-    stride = 16 ** (state.n_copies - 1)
-    per_copy = state.lambdas[::stride]
-    signs = np.where(per_copy < 0, -1, 1).astype(np.int64)
+    """Task whose signs follow the state's first-copy coefficient signs."""
+    signs = states.first_copy_marginal(state).sign_pattern()
     d = channel_dim if channel_dim is not None else 4**state.n_copies
     return TaskSpec(n_copies=state.n_copies, channel_dim=d, signs=signs)
 
@@ -221,19 +216,24 @@ def witness_brute_force(
 ) -> WitnessResult:
     """Witness by explicit dense summation.
 
-    One copy: the full 16^3-triple sum (no sampling accepted).  Two
-    copies: a caller-supplied sample of triples, averaged.  Three or
-    more copies are rejected; densification is off the table there.
+    One copy: the full 16^3-triple sum over the one-copy correlator
+    table (no sampling accepted).  Two copies: a caller-supplied sample
+    of triples, averaged over literal dense correlators.  Three or more
+    copies are rejected; densification is off the table there.
 
-    Chunked fixed-order reduction keeps the result bit-identical for
-    any worker count.
+    ``workers`` only matters at two copies, where the chunked
+    fixed-order reduction keeps the result bit-identical for any worker
+    count.
     """
     if task.n_copies != strategy.n_copies:
         raise ValueError("task and strategy copy counts differ")
     if task.n_copies == 1:
         if samples is not None:
             raise ValueError("one-copy witness is a full sum; drop samples")
-        return _witness_full_n1(strategy, task, workers)
+        f = pauli.F_TABLE
+        weights = task.signs * f[:, None, :] * f[None, :, :]
+        value = float(np.sum(weights * _expectation_table(strategy))) / 16**3
+        return WitnessResult(value, "brute_force", task)
     if task.n_copies == 2:
         if samples is None:
             raise ValueError("two-copy brute force needs a sampling plan")
@@ -246,40 +246,25 @@ def witness_brute_force(
     raise ValueError("brute force is limited to one or two copies")
 
 
-def _witness_full_n1(strategy: Strategy, task: TaskSpec, workers: int) -> WitnessResult:
-    rho = _dense_shared(strategy) if strategy.kind == "entangled_unitaries" else None
-    dense_c = [strategy.dense_decoder((z,)) for z in range(1, 17)]
-    signs = task.signs
+def _expectation_table(strategy: Strategy) -> np.ndarray:
+    """One-copy correlators E[x-1, y-1, z-1] = tr[state_xy (M_a_z (x) M_b_z)].
 
-    def pair_term(xy) -> float:
-        x, y = xy
-        if strategy.kind == "prepared_states":
-            state_xy = linalg.kron(strategy.states_a[x - 1], strategy.states_b[y - 1])
-        else:
-            uv = linalg.kron(strategy.encoders_a[x - 1], strategy.encoders_b[y - 1])
-            state_xy = uv @ rho @ uv.conj().T
-        total = 0.0
-        for z in range(16):
-            w = int(signs[z]) * int(pauli.F_TABLE[x - 1, z]) * int(pauli.F_TABLE[y - 1, z])
-            total += w * float(np.sum(state_xy * dense_c[z].T).real)
-        return total
-
-    pairs = [(x, y) for x in range(1, 17) for y in range(1, 17)]
-    chunks = _pair_chunks(pairs)
-
-    def chunk_sum(chunk) -> float:
-        acc = 0.0
-        for xy in chunk:
-            acc += pair_term(xy)
-        return acc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(chunk_sum, chunks))
+    Each factor is contracted on its own register legs of the state, so
+    no Kronecker product and no per-triple dense state is formed.  The
+    entangled state is reshaped to legs (a, b, c, d): row (a, b), column
+    (c, d), Alice's register first.
+    """
+    ma, mb = np.asarray(strategy.decoders_a), np.asarray(strategy.decoders_b)
+    if strategy.kind == "prepared_states":
+        table = np.einsum("xac,ybd,zca,zdb->xyz", strategy.states_a,
+                          strategy.states_b, ma, mb, optimize=True)
     else:
-        partials = [chunk_sum(c) for c in chunks]
-    value = math.fsum(partials) / 16**3
-    return WitnessResult(value, "brute_force", task)
+        u, v = np.asarray(strategy.encoders_a), np.asarray(strategy.encoders_b)
+        d = u.shape[-1]
+        rho = _dense_shared(strategy).reshape(d, d, d, d)
+        table = np.einsum("abcd,xea,xfc,zfe,ygb,yhd,zhg->xyz", rho, u, u.conj(),
+                          ma, v, v.conj(), mb, optimize=True)
+    return table.real
 
 
 def expectations_dense(
@@ -302,63 +287,32 @@ def expectations_dense(
 
 
 def witness_closed_form(state: BlochDiagonalState, task: TaskSpec) -> WitnessResult:
-    """Closed-form witness (sum_k s_k lambda_k) / 4 per copy.
+    """Closed-form witness (sum_k s_k lambda_k) / 4^n over the state's n copies.
 
     Valid only when the task signs match the coefficient signs at every
-    nonzero coefficient; a mismatch is rejected with the first offending
-    index.  A single-copy state with a multi-copy task is treated as the
-    task-wide tensor power.
+    nonzero coefficient; a mismatch anywhere in the flat vector is
+    rejected with the first offending index.  A single-copy state with
+    a multi-copy task is treated as the task-wide tensor power.
     """
-    signs = task.signs
-    if state.n_copies == 1:
-        mism = np.nonzero(state.lambdas * signs < 0)[0]
-        if mism.size:
-            raise ValueError(
-                f"task sign disagrees with coefficient at flat index {mism[0] + 1}"
-            )
-        per_copy = float(np.dot(signs, state.lambdas)) / 4.0
-        return WitnessResult(per_copy**task.n_copies, "closed_form", task)
-    if state.n_copies != task.n_copies:
+    n = state.n_copies
+    if n not in (1, task.n_copies):
         raise ValueError("multi-copy state must match the task copy count")
-    lam = state.lambdas.reshape((16,) * state.n_copies)
-    flat = state.lambdas
-    fsigns = task.flat_signs() if state.n_copies <= 2 else None
-    if fsigns is not None:
-        mism = np.nonzero(flat * fsigns < 0)[0]
-        if mism.size:
-            raise ValueError(
-                f"task sign disagrees with coefficient at flat index {mism[0] + 1}"
-            )
-        total = float(np.dot(fsigns, flat))
-    else:
-        stride = 16 ** (state.n_copies - 1)
-        mism = np.nonzero(state.lambdas[::stride] * signs < 0)[0]
-        if mism.size:
-            raise ValueError(
-                f"task sign disagrees with coefficient at flat index {mism[0] + 1}"
-            )
-        sgn = signs.astype(float)
-        for _ in range(state.n_copies):
-            lam = np.tensordot(lam, sgn, axes=([0], [0]))
-        total = float(lam)
-    return WitnessResult(total / 4.0**state.n_copies, "closed_form", task)
+    fsigns = linalg.kron_power(task.signs.astype(np.int8), n)   # 16^n entries
+    mism = np.nonzero(state.lambdas * fsigns < 0)[0]
+    if mism.size:
+        raise ValueError(
+            f"task sign disagrees with coefficient at flat index {mism[0] + 1}"
+        )
+    total = float(np.dot(fsigns, state.lambdas))
+    return WitnessResult((total / 4.0**n) ** (task.n_copies // n), "closed_form", task)
 
 
 def single_copy_expectation_table(state: BlochDiagonalState) -> np.ndarray:
-    """Dense table E1[x-1, y-1, z-1] for the entangled protocol, N=1."""
+    """Table E1[x-1, y-1, z-1] of the entangled protocol on a one-copy
+    state: the one-copy correlator table of ``be_strategy(state)``."""
     if state.n_copies != 1:
         raise ValueError("expectation table is built from a single-copy state")
-    strat = be_strategy(state)
-    rho = states.densify(state)
-    dense_c = [strat.dense_decoder((z,)) for z in range(1, 17)]
-    table = np.zeros((16, 16, 16))
-    for x in range(16):
-        for y in range(16):
-            uv = linalg.kron(strat.encoders_a[x], strat.encoders_b[y])
-            state_xy = uv @ rho @ uv.conj().T
-            for z in range(16):
-                table[x, y, z] = float(np.sum(state_xy * dense_c[z].T).real)
-    return table
+    return _expectation_table(be_strategy(state))
 
 
 def witness_factored(
@@ -373,13 +327,8 @@ def witness_factored(
     task.n_copies copies.
     """
     table = single_copy_expectation_table(state)
-    out = np.ones(len(samples))
-    for i, (xs, ys, zs) in enumerate(np.asarray(samples)):
-        acc = 1.0
-        for x, y, z in zip(xs, ys, zs):
-            acc *= table[x - 1, y - 1, z - 1]
-        out[i] = acc
-    return out
+    idx = np.asarray(samples) - 1          # (count, 3, n_copies)
+    return np.prod(table[idx[:, 0], idx[:, 1], idx[:, 2]], axis=1)
 
 
 def sep_upper_bound(channel_dim: int, n_copies: int) -> Fraction:
@@ -437,18 +386,8 @@ def critical_visibility_numeric(n_copies: int) -> float:
     task = TaskSpec(
         n_copies=n_copies, channel_dim=4**n_copies, signs=rho.sign_pattern()
     )
-    if n_copies <= 2:
-        full = states.tensor_power(rho, n_copies) if n_copies > 1 else rho
-        w_be = witness_closed_form(full, task).value
-        w_mixed = witness_closed_form(
-            states.mix_with_white_noise(full, 0.0), task
-        ).value
-    else:
-        w_be = witness_closed_form(rho, task).value
-        w_mixed = witness_closed_form(
-            states.mix_with_white_noise(rho, 0.0),
-            TaskSpec(n_copies=1, channel_dim=4, signs=task.signs),
-        ).value ** n_copies
+    w_be = witness_closed_form(rho, task).value
+    w_mixed = witness_closed_form(states.mix_with_white_noise(rho, 0.0), task).value
     bound = float(sep_upper_bound(4**n_copies, n_copies))
     if w_be <= bound:
         return 1.0

@@ -10,7 +10,7 @@ capped at two copies (256 x 256).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -128,11 +128,20 @@ def tensor_power(state: BlochDiagonalState, n: int) -> BlochDiagonalState:
         raise ValueError("n must be >= 1")
     if 16**n > _TENSOR_COEFF_CAP:
         raise ValueError(f"16^{n} coefficients exceed cap {_TENSOR_COEFF_CAP}")
-    lam = state.lambdas
-    out = lam
-    for _ in range(n - 1):
-        out = np.kron(out, lam)
-    return BlochDiagonalState(n_copies=n, lambdas=out)
+    return BlochDiagonalState(n_copies=n, lambdas=linalg.kron_power(state.lambdas, n))
+
+
+def first_copy_marginal(state: BlochDiagonalState) -> BlochDiagonalState:
+    """Reduced state of the first copy; for a tensor power, its factor.
+
+    Tracing out copies 2..N keeps the coefficients whose later digits
+    are all identity, each scaled by tr(G_0) tr(G_0) = 4 per copy.  The
+    identity coefficient is set to exactly 1/4 rather than rescaled, so
+    the constructor's normalisation slack is not multiplied by 4^(N-1).
+    """
+    lam = state.lambdas[:: 16 ** (state.n_copies - 1)] * 4 ** (state.n_copies - 1)
+    lam[0] = 0.25
+    return BlochDiagonalState(n_copies=1, lambdas=lam)
 
 
 def mix_with_white_noise(state: BlochDiagonalState, v: float) -> BlochDiagonalState:
@@ -237,46 +246,25 @@ def ppt_check(state: BlochDiagonalState) -> EntanglementReport:
     """EntanglementReport for a Bloch-diagonal state.
 
     Up to two copies the state is densified and checked directly.  For
-    more copies only exact tensor powers can be certified: the per-copy
-    state is recovered from the coefficient vector, checked at dimension
-    16, and the report carries per_copy_certified=True with per-copy
-    spectra.  The partial transpose of a tensor product is the product
-    of partial transposes, so per-copy PPT settles the joint question.
+    more copies only exact tensor powers can be certified: the state
+    must equal the N-th tensor power of its first-copy marginal, which
+    is checked at dimension 16, and the report carries
+    per_copy_certified=True with per-copy spectra.  The partial
+    transpose of a tensor product is the product of partial transposes,
+    so per-copy PPT settles the joint question.  The CCNR is always the
+    exact fast-path value sum |lambda| of the whole state.
     """
     if state.n_copies <= _DENSIFY_MAX_COPIES:
         d = state.local_dim
-        rep = ppt_report(densify(state), d, d)
-        # the realignment of a Bloch-diagonal state is diag(lambda); keep
-        # the exact fast-path value in the report
-        return EntanglementReport(
-            min_eig_state=rep.min_eig_state,
-            min_eig_pt=rep.min_eig_pt,
-            is_ppt=rep.is_ppt,
-            ccnr=state.ccnr_fast(),
-            spectrum_state=rep.spectrum_state,
-            spectrum_pt=rep.spectrum_pt,
-        )
-    stride = 16 ** (state.n_copies - 1)
-    per_lam = state.lambdas[::stride] * 4 ** (state.n_copies - 1)
-    power = per_lam
-    for _ in range(state.n_copies - 1):
-        power = np.kron(power, per_lam)
-    if not np.allclose(power, state.lambdas, atol=1e-12):
+        return replace(ppt_report(densify(state), d, d), ccnr=state.ccnr_fast())
+    marginal = first_copy_marginal(state)
+    power = tensor_power(marginal, state.n_copies)
+    if not np.allclose(power.lambdas, state.lambdas, atol=1e-12):
         raise ValueError(
             "state with more than two copies is not a tensor power; "
             "cannot certify PPT per copy"
         )
-    single = BlochDiagonalState(n_copies=1, lambdas=per_lam)
-    rep = ppt_check(single)
-    return EntanglementReport(
-        min_eig_state=rep.min_eig_state,
-        min_eig_pt=rep.min_eig_pt,
-        is_ppt=rep.is_ppt,
-        ccnr=state.ccnr_fast(),
-        spectrum_state=rep.spectrum_state,
-        spectrum_pt=rep.spectrum_pt,
-        per_copy_certified=True,
-    )
+    return replace(ppt_check(marginal), ccnr=state.ccnr_fast(), per_copy_certified=True)
 
 
 def check_be_convention(state: BlochDiagonalState) -> None:

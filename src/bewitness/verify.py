@@ -9,7 +9,7 @@ asserts each check individually.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -188,15 +188,7 @@ def check_ccnr_ascent() -> CheckResult:
         target = ASCENT_TARGETS[d]
         reached = None
         for attempt in range(ASCENT_MAX_TRIES):
-            cfg = AscentConfig(
-                n_restarts=base.n_restarts,
-                max_iters=base.max_iters,
-                step0=base.step0,
-                dykstra_cap=base.dykstra_cap,
-                dykstra_tol=base.dykstra_tol,
-                max_outer=base.max_outer,
-                seed=base.seed + attempt * ASCENT_RETRY_SEED_STEP,
-            )
+            cfg = replace(base, seed=base.seed + attempt * ASCENT_RETRY_SEED_STEP)
             rep = ccnr_ascent_bloch_ppt(d, cfg)
             feas = float(_BlochPolytope(d).min_eig_rows(rep.best_lambdas[None])[0])
             if rep.best_value >= target and feas >= -1e-8:

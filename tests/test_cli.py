@@ -77,6 +77,8 @@ def test_witness_usage_errors(capsys):
     assert main(["witness", "--strategy", "classical-d4", "--n-copies", "2"]) == 2
     assert "one-copy" in capsys.readouterr().err
     assert main(["witness", "--strategy", "classical-d4", "--method", "closed"]) == 2
+    assert main(["witness", "--strategy", "classical-d4", "--method", "factored"]) == 2
+    assert "needs the entangled strategy" in capsys.readouterr().err
     assert main(["witness", "--n-copies", "3", "--method", "brute"]) == 2
 
 
@@ -142,6 +144,29 @@ def test_state_info_rejects_non_psd_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not a state: minimum eigenvalue -" in captured.err
+
+
+def test_state_info_three_copy_non_power_is_usage_error(tmp_path, capsys):
+    lam = states.tensor_power(states.rho_be(), 3).lambdas.copy()
+    lam[96] = -lam[96]
+    path = _write_state(tmp_path / "bent3.json",
+                        states.BlochDiagonalState(n_copies=3, lambdas=lam))
+    assert main(["state-info", "--state", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a tensor power" in captured.err
+
+
+def test_state_info_sign_mismatch_is_usage_error(tmp_path, capsys):
+    pair = states.mix_with_white_noise(states.tensor_power(states.rho_be(), 2), 0.3)
+    lam = pair.lambdas.copy()
+    lam[17] = -lam[17]
+    path = _write_state(tmp_path / "flip2.json",
+                        states.BlochDiagonalState(n_copies=2, lambdas=lam))
+    assert main(["state-info", "--state", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "flat index 18" in captured.err
 
 
 def test_witness_closed_form_six_copies_skips_tensor_power(capsys, monkeypatch):

@@ -81,13 +81,37 @@ def test_factored_full_enumeration_matches_closed_form(rho, task, e1_table):
     assert abs(value - closed) < 1e-10
 
 
-def test_expectation_matches_table_and_brute_route(rho, strat, e1_table):
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        x, y, z = (int(v) for v in rng.integers(1, 17, size=3))
-        val = protocol.expectation(strat, x, y, z)
-        assert abs(val) <= 1 + 1e-9
-        assert abs(val - e1_table[x - 1, y - 1, z - 1]) < 1e-12
+def _random_prepared_strategy(rng, dim, signs):
+    taus = []
+    for _ in range(32):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = g @ g.conj().T
+        taus.append(m / np.trace(m).real)
+    dec_a, dec_b = optimal_measurement(taus[:16], taus[16:], signs)
+    return protocol.Strategy(
+        kind="prepared_states",
+        n_copies=1,
+        channel_dim=dim,
+        decoders_a=dec_a,
+        decoders_b=dec_b,
+        states_a=taus[:16],
+        states_b=taus[16:],
+    )
+
+
+def test_expectation_matches_table_and_brute_route(rho, strat, task, e1_table):
+    """The one-copy table against the literal per-triple kron route, over
+    all 4096 triples, for the entangled protocol and a random D=7
+    prepared strategy."""
+    prepared = _random_prepared_strategy(np.random.default_rng(2), 7, task.signs)
+    grid = [(x, y, z) for x in range(1, 17) for y in range(1, 17) for z in range(1, 17)]
+    w = np.array([pauli.w_value([x], [y], [z], task.signs) for x, y, z in grid], dtype=float)
+    for st, table in ((strat, e1_table), (prepared, protocol._expectation_table(prepared))):
+        literal = np.array([protocol.expectation(st, x, y, z) for x, y, z in grid])
+        assert np.max(np.abs(literal)) <= 1 + 1e-9
+        assert np.max(np.abs(literal - table.reshape(-1))) < 1e-14
+        brute = protocol.witness_brute_force(st, task).value
+        assert abs(brute - float(np.mean(w * literal))) < 1e-14
 
 
 def test_two_copy_sampled_brute_matches_factored(rho):
@@ -115,6 +139,26 @@ def test_closed_form_tensor_power_shortcut(rho):
     task3 = protocol.TaskSpec(n_copies=3, channel_dim=64, signs=rho.sign_pattern())
     value = protocol.witness_closed_form(rho, task3).value
     assert abs(value - 0.375**3) < 1e-12
+
+
+def test_closed_form_three_copy_state(rho):
+    """Three-copy value, and a sign mismatch outside the first-copy
+    slice is caught."""
+    trip = states.tensor_power(rho, 3)
+    task3 = protocol.matched_task(trip)
+    assert abs(protocol.witness_closed_form(trip, task3).value - 0.375**3) < 1e-15
+    lam = trip.lambdas.copy()
+    lam[96] = -lam[96]      # second copy at digit 7, first and third identity
+    bent = states.BlochDiagonalState(n_copies=3, lambdas=lam)
+    with pytest.raises(ValueError, match="flat index 97"):
+        protocol.witness_closed_form(bent, protocol.matched_task(bent))
+
+
+def test_first_copy_marginal_of_power(rho):
+    for n in (1, 2, 3):
+        marginal = states.first_copy_marginal(states.tensor_power(rho, n))
+        assert marginal.n_copies == 1 and marginal.lambdas[0] == 0.25
+        assert np.max(np.abs(marginal.lambdas - rho.lambdas)) < 1e-15
 
 
 def test_closed_form_sign_mismatch_reports_index(rho):
