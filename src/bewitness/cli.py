@@ -12,12 +12,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
 
-from . import pauli, protocol, states, verify
+from . import protocol, states, verify
 from .optimize import AscentConfig, SeesawConfig, ccnr_ascent_bloch_ppt, seesaw_classical, seesaw_quantum
 
 
@@ -120,17 +119,12 @@ def cmd_witness(args) -> int:
             samples = None
             if args.n_copies == 2:
                 samples = protocol.sample_triples(2, args.samples, seed=args.seed)
-            result = protocol.witness_brute_force(
-                strat, task, samples=samples, workers=args.workers
-            )
+            result = protocol.witness_brute_force(strat, task, samples=samples)
         else:
             samples = protocol.sample_triples(args.n_copies, args.samples, seed=args.seed)
             ev = protocol.witness_factored(per_copy, task, samples)
-            w = np.array(
-                [pauli.w_value(t[0], t[1], t[2], task.signs) for t in samples],
-                dtype=float,
-            )
-            result = protocol.WitnessResult(float(np.mean(w * ev)), "factored", task)
+            value = float(np.mean(task.weights(samples) * ev))
+            result = protocol.WitnessResult(value, "factored", task)
     except ValueError as exc:
         print(f"witness: {exc}", file=sys.stderr)
         return 2
@@ -287,12 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("brute", "factored", "closed"), default="brute")
     p.add_argument("--samples", type=int, default=10_000,
                    help="triple count for sampled methods")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=max(1, os.cpu_count() or 1),
-        help="threads for two-copy brute force (results do not depend on it)",
-    )
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     common(p)
     p.set_defaults(fn=cmd_witness)
 

@@ -111,8 +111,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron_power(v: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a per-copy vector, first copy most
-    significant.  Not capped: callers bound n."""
+    """n-fold Kronecker power of a vector, a matrix or a stack (k, m, m),
+    first copy most significant; on a stack, element k*i + j of the
+    square is kron(v[i], v[j]).  Not capped: callers bound n."""
     out = v
     for _ in range(n - 1):
         out = np.kron(out, v)

@@ -462,7 +462,7 @@ def _bell_sign_table() -> np.ndarray:
         np.array([0, 1, 1, 0]) / np.sqrt(2),
         np.array([0, 1, -1, 0]) / np.sqrt(2),
     )
-    paulis = [2.0 * g for g in pauli.pauli_basis(1)]
+    paulis = 2.0 * pauli.pauli_basis(1)
     table = np.zeros((4, 4), dtype=np.int64)
     for m, b in enumerate(bells):
         for a, p in enumerate(paulis):

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import kron_all, kron_power
+from .linalg import kron_power
 
 # Hadamard-type sign matrix driving the task functions.  Row a, column b
 # is +1 exactly when the a-th and b-th single-qubit Paulis commute.
@@ -100,15 +100,13 @@ def m_matrix(n_copies: int) -> np.ndarray:
     """
     if n_copies not in (1, 2):
         raise ValueError("m_matrix is materialised only for 1 or 2 copies")
-    if n_copies == 1:
-        f = F_TABLE
-    else:
-        f = np.kron(F_TABLE, F_TABLE)
+    f = kron_power(F_TABLE, n_copies)
     return f @ f.T
 
 
-def pauli_basis(n_qubits: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of n-qubit Pauli strings.
+def pauli_basis(n_qubits: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of n-qubit Pauli strings, as one
+    (4^n, 2^n, 2^n) array.
 
     Element k is the product of sub-normalised single-qubit Paulis whose
     base-4 digit string (most significant digit first) spells k; element
@@ -117,16 +115,7 @@ def pauli_basis(n_qubits: int) -> list[np.ndarray]:
     """
     if not (1 <= n_qubits <= _MAX_QUBITS):
         raise ValueError(f"n_qubits must be in 1..{_MAX_QUBITS}")
-    basis = []
-    for k in range(4**n_qubits):
-        digits = []
-        rem = k
-        for _ in range(n_qubits):
-            rem, d = divmod(rem, 4)
-            digits.append(d)
-        digits.reverse()
-        basis.append(kron_all([_SIGMA[d] for d in digits]))
-    return basis
+    return kron_power(np.stack(_SIGMA), n_qubits)
 
 
 def pauli_transpose_signs(n_qubits: int) -> np.ndarray:

@@ -12,7 +12,8 @@ ones, matching the layout of densified Bloch-diagonal states.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+# Not used here: the benchmark tracer patches protocol.ThreadPoolExecutor by name.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .states import BlochDiagonalState
 UNITARITY_ATOL = 1e-10
 OBSERVABLE_EIG_SLACK = 1e-9
 
-_CHUNK_PAIRS = 16   # triples per reduction chunk, fixed for determinism
+_BLOCK_TRIPLES = 256   # triples per dense contraction; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,13 @@ class TaskSpec:
     def flat_signs(self) -> np.ndarray:
         """Sign of each flat z-vector, s_z = prod of per-copy signs."""
         return linalg.kron_power(self.signs, self.n_copies)
+
+    def weights(self, samples: np.ndarray) -> np.ndarray:
+        """Task weights prod_l s[z_l] f(x_l, z_l) f(y_l, z_l) of triples
+        (count, 3, n_copies); the batched form of ``pauli.w_value``."""
+        x, y, z = np.moveaxis(_sample_indices(samples, self.n_copies), 1, 0)
+        f = pauli.F_TABLE
+        return np.prod(self.signs[z] * f[x, z] * f[y, z], axis=1)
 
     def to_dict(self) -> dict:
         return {
@@ -139,31 +147,30 @@ def matched_task(state: BlochDiagonalState, channel_dim: int | None = None) -> T
 
 def be_strategy(state: BlochDiagonalState) -> Strategy:
     """The entangled protocol: Pauli encoders, G_z (x) G_z decoders."""
-    basis = pauli.pauli_basis(2)
-    encoders = [2.0 * g for g in basis]
-    half = [2.0 * g for g in basis]   # 4 G_z (x) G_z = (2 G_z) (x) (2 G_z)
+    scaled = 2.0 * pauli.pauli_basis(2)   # 4 G_z (x) G_z = (2 G_z) (x) (2 G_z)
     return Strategy(
         kind="entangled_unitaries",
         n_copies=state.n_copies,
         channel_dim=4,
-        decoders_a=half,
-        decoders_b=[m.copy() for m in half],
-        encoders_a=encoders,
-        encoders_b=[u.copy() for u in encoders],
+        decoders_a=scaled,
+        decoders_b=scaled.copy(),
+        encoders_a=scaled.copy(),
+        encoders_b=scaled.copy(),
         shared_state=state,
     )
 
 
-def _as_index_tuple(v, n_copies: int) -> tuple[int, ...]:
-    if isinstance(v, (int, np.integer)):
-        v = (int(v),)
-    out = tuple(int(i) for i in v)
-    if len(out) != n_copies:
-        raise ValueError(f"expected {n_copies} per-copy indices, got {out}")
-    for i in out:
-        if not 1 <= i <= 16:
-            raise ValueError(f"index {i} out of range [16]")
-    return out
+def _sample_indices(samples, n_copies: int) -> np.ndarray:
+    """0-based indices of triples (count >= 1, 3, n_copies), entries in 1..16."""
+    idx = np.asarray(samples)
+    if idx.ndim != 3 or idx.shape[1:] != (3, n_copies) or not len(idx):
+        raise ValueError(f"samples must have shape (count >= 1, 3, {n_copies}), got {idx.shape}")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"sample indices must be integers, got {idx.dtype}")
+    bad = idx[(idx < 1) | (idx > 16)]
+    if bad.size:
+        raise ValueError(f"index {bad[0]} out of range [16]")
+    return idx - 1
 
 
 def _dense_shared(strategy: Strategy) -> np.ndarray:
@@ -172,27 +179,21 @@ def _dense_shared(strategy: Strategy) -> np.ndarray:
     return states.densify(strategy.shared_state)
 
 
-def _expectation_dense(strategy: Strategy, rho: np.ndarray | None,
-                       xs, ys, zs) -> float:
-    """Literal dense evaluation of one correlator."""
-    xs = _as_index_tuple(xs, strategy.n_copies)
-    ys = _as_index_tuple(ys, strategy.n_copies)
-    zs = _as_index_tuple(zs, strategy.n_copies)
-    c = strategy.dense_decoder(zs)
-    if strategy.kind == "prepared_states":
-        tau = linalg.kron(strategy.states_a[xs[0] - 1], strategy.states_b[ys[0] - 1])
-        return float(np.sum(tau * c.T).real)
-    u = linalg.kron_all([strategy.encoders_a[x - 1] for x in xs])
-    v = linalg.kron_all([strategy.encoders_b[y - 1] for y in ys])
-    uv = linalg.kron(u, v)
-    rotated = uv @ rho @ uv.conj().T
-    return float(np.sum(rotated * c.T).real)
-
-
 def expectation(strategy: Strategy, xs, ys, zs) -> float:
-    """Correlator E_xyz = tr[state . C] in [-1, 1] for one triple."""
-    rho = _dense_shared(strategy) if strategy.kind == "entangled_unitaries" else None
-    val = _expectation_dense(strategy, rho, xs, ys, zs)
+    """Correlator E_xyz = tr[state . C] in [-1, 1] for one triple, by the
+    literal Kronecker route: the reference for ``expectations_dense``."""
+    triple = [np.atleast_1d(xs), np.atleast_1d(ys), np.atleast_1d(zs)]
+    xs, ys, zs = _sample_indices([triple], strategy.n_copies)[0]
+    c = strategy.dense_decoder(zs + 1)
+    if strategy.kind == "prepared_states":
+        tau = linalg.kron(strategy.states_a[xs[0]], strategy.states_b[ys[0]])
+        val = float(np.sum(tau * c.T).real)
+    else:
+        u = linalg.kron_all([strategy.encoders_a[x] for x in xs])
+        v = linalg.kron_all([strategy.encoders_b[y] for y in ys])
+        uv = linalg.kron(u, v)
+        rotated = uv @ _dense_shared(strategy) @ uv.conj().T
+        val = float(np.sum(rotated * c.T).real)
     if abs(val) > 1 + 1e-9:
         raise AssertionError(f"correlator {val} outside [-1, 1]")
     return val
@@ -204,26 +205,15 @@ def sample_triples(n_copies: int, count: int, seed: int) -> np.ndarray:
     return rng.integers(1, 17, size=(count, 3, n_copies))
 
 
-def _pair_chunks(pairs: list) -> list[list]:
-    return [pairs[i:i + _CHUNK_PAIRS] for i in range(0, len(pairs), _CHUNK_PAIRS)]
-
-
-def witness_brute_force(
-    strategy: Strategy,
-    task: TaskSpec,
-    samples: np.ndarray | None = None,
-    workers: int = 1,
-) -> WitnessResult:
+def witness_brute_force(strategy: Strategy, task: TaskSpec,
+                        samples: np.ndarray | None = None) -> WitnessResult:
     """Witness by explicit dense summation.
 
     One copy: the full 16^3-triple sum over the one-copy correlator
     table (no sampling accepted).  Two copies: a caller-supplied sample
-    of triples, averaged over literal dense correlators.  Three or more
-    copies are rejected; densification is off the table there.
-
-    ``workers`` only matters at two copies, where the chunked
-    fixed-order reduction keeps the result bit-identical for any worker
-    count.
+    of triples, the mean of task weights times the dense correlators of
+    ``expectations_dense``.  Three or more copies are rejected;
+    densification is off the table there.
     """
     if task.n_copies != strategy.n_copies:
         raise ValueError("task and strategy copy counts differ")
@@ -237,12 +227,8 @@ def witness_brute_force(
     if task.n_copies == 2:
         if samples is None:
             raise ValueError("two-copy brute force needs a sampling plan")
-        ev = expectations_dense(strategy, samples, workers=workers)
-        w = np.array(
-            [pauli.w_value(t[0], t[1], t[2], task.signs) for t in samples],
-            dtype=float,
-        )
-        return WitnessResult(float(np.mean(w * ev)), "brute_force", task)
+        ev = expectations_dense(strategy, samples)
+        return WitnessResult(float(np.mean(task.weights(samples) * ev)), "brute_force", task)
     raise ValueError("brute force is limited to one or two copies")
 
 
@@ -267,23 +253,51 @@ def _expectation_table(strategy: Strategy) -> np.ndarray:
     return table.real
 
 
+def _heisenberg_factors(enc: np.ndarray, dec: np.ndarray, inputs: np.ndarray,
+                        zs: np.ndarray) -> np.ndarray:
+    """enc_x^dagger dec_z enc_x per copy for index rows (t, N), joined
+    across copies by a per-row Kronecker product: shape (t, D^N, D^N)."""
+    e = enc[inputs]
+    h = linalg.dagger(e) @ dec[zs] @ e
+    out = h[:, 0]
+    for copy in range(1, h.shape[1]):
+        t, m, n = len(out), out.shape[-1], h.shape[-1]
+        out = np.einsum("tac,tbd->tabcd", out, h[:, copy]).reshape(t, m * n, m * n)
+    return out
+
+
 def expectations_dense(
     strategy: Strategy, samples: np.ndarray, workers: int = 1
 ) -> np.ndarray:
-    """Dense per-triple correlators for a list of index triples."""
-    rho = _dense_shared(strategy) if strategy.kind == "entangled_unitaries" else None
-    rows = [tuple(map(tuple, t)) for t in np.asarray(samples)]
-    chunks = _pair_chunks(rows)
+    """Dense correlators for triples (count, 3, n_copies), batched.
 
-    def chunk_vals(chunk) -> list[float]:
-        return [_expectation_dense(strategy, rho, xs, ys, zs) for xs, ys, zs in chunk]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_vals, chunks))
+    Entangled: tr[rho (A (x) B)], A the per-copy U_x^dagger M_a,z U_x
+    joined across copies (B likewise), contracted with the dense state
+    on its register legs.  Prepared (one copy): tr(tau_x M_a,z)
+    tr(tau_y M_b,z).  No Pauli algebra or one-copy table enters, so this
+    checks the factored route independently; ``expectation`` is the
+    literal per-triple reference.  ``workers`` is accepted and ignored.
+    """
+    x, y, z = np.moveaxis(_sample_indices(samples, strategy.n_copies), 1, 0)
+    ma, mb = np.asarray(strategy.decoders_a), np.asarray(strategy.decoders_b)
+    if strategy.kind == "prepared_states":
+        ta, tb = np.asarray(strategy.states_a), np.asarray(strategy.states_b)
     else:
-        parts = [chunk_vals(c) for c in chunks]
-    return np.array([v for part in parts for v in part])
+        u, v = np.asarray(strategy.encoders_a), np.asarray(strategy.encoders_b)
+        d = u.shape[-1] ** strategy.n_copies
+        rho = _dense_shared(strategy).reshape(d, d, d, d)
+    out = np.empty(len(x))
+    for i in range(0, len(x), _BLOCK_TRIPLES):
+        b = slice(i, i + _BLOCK_TRIPLES)
+        if strategy.kind == "prepared_states":
+            xb, yb, zb = x[b, 0], y[b, 0], z[b, 0]
+            out[b] = np.einsum("tac,tca,tbd,tdb->t", ta[xb], ma[zb], tb[yb], mb[zb],
+                               optimize=True).real
+        else:
+            ha = _heisenberg_factors(u, ma, x[b], z[b])
+            hb = _heisenberg_factors(v, mb, y[b], z[b])
+            out[b] = np.einsum("abcd,tca,tdb->t", rho, ha, hb, optimize=True).real
+    return out
 
 
 def witness_closed_form(state: BlochDiagonalState, task: TaskSpec) -> WitnessResult:
@@ -327,8 +341,8 @@ def witness_factored(
     task.n_copies copies.
     """
     table = single_copy_expectation_table(state)
-    idx = np.asarray(samples) - 1          # (count, 3, n_copies)
-    return np.prod(table[idx[:, 0], idx[:, 1], idx[:, 2]], axis=1)
+    x, y, z = np.moveaxis(_sample_indices(samples, task.n_copies), 1, 0)
+    return np.prod(table[x, y, z], axis=1)
 
 
 def sep_upper_bound(channel_dim: int, n_copies: int) -> Fraction:

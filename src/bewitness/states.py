@@ -155,14 +155,16 @@ def mix_with_white_noise(state: BlochDiagonalState, v: float) -> BlochDiagonalSt
     )
 
 
-def bloch_densify(lambdas: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """sum_k lambda_k G_k (x) G_k for an arbitrary Hermitian basis."""
-    d = basis[0].shape[0]
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for lam_k, g in zip(lambdas, basis):
-        if lam_k != 0.0:
-            out += lam_k * np.kron(g, g)
-    return out
+def bloch_densify(lambdas: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_k lambda_k G_k (x) G_k for a Hermitian basis stack (K, d, d).
+
+    One einsum, left unoptimised: it sums (G_k[a, c] G_k[b, d]) lambda_k
+    over k in index order, which reproduces a term-by-term Kronecker sum
+    bit for bit, where a BLAS contraction moves the last bits.
+    """
+    basis = np.asarray(basis)
+    d = basis.shape[1]
+    return np.einsum("kac,kbd,k->abcd", basis, basis, lambdas).reshape(d * d, d * d)
 
 
 def densify(state: BlochDiagonalState) -> np.ndarray:
@@ -177,19 +179,20 @@ def densify(state: BlochDiagonalState) -> np.ndarray:
     return linalg.require_hermitian(rho)
 
 
-def realignment(op: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Matrix R[k, k'] = trace(op * G_k (x) G_k').
+def realignment(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Matrix R[k, k'] = trace(op * G_k (x) G_k') for a basis stack (K, d, d).
 
     Computed as a basis transform of the computational-basis realignment
     rather than 4^(2n) individual traces.
     """
-    d = basis[0].shape[0]
+    basis = np.asarray(basis)
+    k, d, _ = basis.shape
     op = np.asarray(op, dtype=complex)
     if op.shape != (d * d, d * d):
         raise ValueError(f"operator shape {op.shape} does not match basis dim {d}")
     rc = op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     # row k of the transform is G_k^T flattened; G Hermitian so G^T = conj(G)
-    g_rows = np.stack([g.conj().reshape(-1) for g in basis])
+    g_rows = basis.conj().reshape(k, d * d)
     return g_rows @ rc @ g_rows.T
 
 
@@ -206,7 +209,7 @@ def realignment_computational(op: np.ndarray, dim_a: int, dim_b: int) -> np.ndar
     )
 
 
-def ccnr(obj, basis: list[np.ndarray] | None = None) -> float:
+def ccnr(obj, basis: np.ndarray | None = None) -> float:
     """Trace norm of the realignment matrix.
 
     Bloch-diagonal states take the exact fast path sum_k |lambda_k|;

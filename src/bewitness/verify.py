@@ -158,7 +158,7 @@ def check_factorization(samples: int = 10_000) -> CheckResult:
     factored = protocol.witness_factored(rho, task, triples)
     worst = float(np.max(np.abs(factored - dense)))
     ok = worst < 1e-10
-    return _finish("08-factorization", 120.0, t0, ok, f"max |factored-dense| {worst:.2e} over {samples} triples")
+    return _finish("08-factorization", 10.0, t0, ok, f"max |factored-dense| {worst:.2e} over {samples} triples")
 
 
 def check_seesaw() -> CheckResult:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bewitness import pauli
+from bewitness import linalg, pauli
 
 
 def test_t_matrix_is_scaled_orthogonal():
@@ -50,6 +50,17 @@ def test_pauli_basis_hermitian_and_scaled_unitary():
             assert np.max(np.abs(g - g.conj().T)) < 1e-15
             u = scale * g
             assert np.max(np.abs(u @ u.conj().T - np.eye(2**n))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_basis_digit_order(n):
+    """Element k is the Kronecker product of the Paulis spelled by the
+    base-4 digits of k, most significant first."""
+    basis = pauli.pauli_basis(n)
+    assert basis.shape == (4**n, 2**n, 2**n)
+    for k in range(4**n):
+        digits = [(k // 4**p) % 4 for p in reversed(range(n))]
+        assert np.array_equal(basis[k], linalg.kron_all([pauli._SIGMA[d] for d in digits]))
 
 
 def test_pauli_basis_range():

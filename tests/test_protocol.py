@@ -114,6 +114,53 @@ def test_expectation_matches_table_and_brute_route(rho, strat, task, e1_table):
         assert abs(brute - float(np.mean(w * literal))) < 1e-14
 
 
+def test_expectations_dense_matches_literal_route(rho, task):
+    """The batched oracle against per-triple ``expectation``: 64 two-copy
+    triples of the entangled protocol, and all 4096 one-copy triples of
+    a random D=7 prepared strategy, which span 16 blocks."""
+    strat2 = protocol.be_strategy(states.tensor_power(rho, 2))
+    triples = protocol.sample_triples(2, 64, seed=11)
+    prepared = _random_prepared_strategy(np.random.default_rng(5), 7, task.signs)
+    grid = np.array([[[x], [y], [z]] for x in range(1, 17)
+                     for y in range(1, 17) for z in range(1, 17)])
+    for st, tr in ((strat2, triples), (prepared, grid)):
+        batched = protocol.expectations_dense(st, tr)
+        literal = np.array([protocol.expectation(st, *t) for t in tr])
+        assert batched.shape == (len(tr),)
+        assert np.max(np.abs(batched - literal)) < 1e-14
+
+
+def test_task_weights_match_w_value(rho):
+    for n in (1, 2, 3):
+        task = protocol.TaskSpec(n_copies=n, channel_dim=4, signs=rho.sign_pattern())
+        triples = protocol.sample_triples(n, 500, seed=n)
+        loop = [pauli.w_value(t[0], t[1], t[2], task.signs) for t in triples]
+        assert np.array_equal(task.weights(triples), loop)
+
+
+@pytest.mark.parametrize("bad,match", [
+    ([[[0, 1], [1, 1], [1, 1]]], "index 0 out of range"),
+    ([[[1, 1], [17, 1], [1, 1]]], "index 17 out of range"),
+    ([[[1], [1], [1]]], "shape"),
+    (np.zeros((0, 3, 2), dtype=int), "count >= 1"),
+    ([[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]], "integers"),
+])
+def test_sample_indices_validated_on_every_entry_point(rho, bad, match):
+    """Index 0 used to wrap to 16, a copy-count mismatch went through and
+    an empty sample gave a NaN mean."""
+    pair = states.tensor_power(rho, 2)
+    task2, strat2 = protocol.matched_task(pair), protocol.be_strategy(pair)
+    calls = (
+        lambda: protocol.expectations_dense(strat2, bad),
+        lambda: protocol.witness_factored(rho, task2, bad),
+        lambda: task2.weights(bad),
+        lambda: protocol.witness_brute_force(strat2, task2, samples=bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 def test_two_copy_sampled_brute_matches_factored(rho):
     pair = states.tensor_power(rho, 2)
     task2 = protocol.matched_task(pair)
@@ -180,14 +227,6 @@ def test_witness_visibility_affine(rho, task):
         assert abs(got - (v * w_be + (1 - v) * w_mm)) < 1e-12
     at_crit = states.mix_with_white_noise(rho, 0.6)
     assert abs(protocol.witness_closed_form(at_crit, task).value - 0.25) < 1e-12
-
-
-def test_brute_force_worker_count_is_invisible():
-    strat = protocol.classical_optimal_strategy_d4()
-    task = protocol.TaskSpec(n_copies=1, channel_dim=4, signs=protocol.default_signs())
-    a = protocol.witness_brute_force(strat, task, workers=1).value
-    b = protocol.witness_brute_force(strat, task, workers=3).value
-    assert a == b
 
 
 def test_two_copy_workers_bit_identical(rho):

@@ -37,6 +37,14 @@ def test_ccnr_fast_path_matches_realignment():
         assert abs(st.ccnr_fast() - dense) < 1e-10
 
 
+@pytest.mark.parametrize("n_copies", [1, 2])
+def test_bloch_densify_matches_literal_sum(n_copies):
+    basis = pauli.pauli_basis(2 * n_copies)
+    lam = np.random.default_rng(8).normal(size=16**n_copies) / 4**n_copies
+    literal = sum(l * np.kron(g, g) for l, g in zip(lam, basis))
+    assert np.max(np.abs(states.bloch_densify(lam, basis) - literal)) < 1e-15
+
+
 def test_realignment_entries_are_traces():
     """Spot checks of R[k,k'] = tr(op G_k (x) G_k') against literal traces."""
     basis = pauli.pauli_basis(1)
