@@ -248,6 +248,8 @@ def cmd_verify(args) -> int:
     if args.state is not None:
         try:
             state = _load_state_arg(args.state)
+            if state.n_copies != 1:
+                raise ValueError(f"--state takes a one-copy state, got {state.n_copies} copies")
         except (OSError, ValueError, KeyError, states.ConventionError) as exc:
             print(f"verify: cannot load state: {exc}", file=sys.stderr)
             return 2

@@ -156,15 +156,23 @@ def mix_with_white_noise(state: BlochDiagonalState, v: float) -> BlochDiagonalSt
 
 
 def bloch_densify(lambdas: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """sum_k lambda_k G_k (x) G_k for a Hermitian basis stack (K, d, d).
-
-    One einsum, left unoptimised: it sums (G_k[a, c] G_k[b, d]) lambda_k
-    over k in index order, which reproduces a term-by-term Kronecker sum
-    bit for bit, where a BLAS contraction moves the last bits.
+    """sum_k lambda_k G_k (x) G_k for a basis stack (K, d, d) of Pauli
+    monomials, exactly one nonzero per row (else ValueError).  np.add.at
+    scatters the K d^2 nonzero terms (G_k[a, c] G_k[b, d]) lambda_k into
+    zeros in k order: a term-by-term Kronecker sum bit for bit, signed zeros too.
     """
     basis = np.asarray(basis)
+    if np.any(np.count_nonzero(basis, axis=2) != 1):
+        raise ValueError("basis elements need exactly one nonzero entry per row")
+    cols = np.argmax(basis != 0, axis=2)
+    vals = np.take_along_axis(basis, cols[..., None], axis=2)[..., 0]
+    terms = (vals[:, :, None] * vals[:, None, :]) * np.asarray(lambdas)[:, None, None]
     d = basis.shape[1]
-    return np.einsum("kac,kbd,k->abcd", basis, basis, lambdas).reshape(d * d, d * d)
+    # G_k (x) G_k is nonzero at row a d + b, column cols[k, a] d + cols[k, b]
+    flat = np.arange(d * d).reshape(d, d) * d * d + cols[:, :, None] * d + cols[:, None, :]
+    out = np.zeros(d**4, dtype=terms.dtype)
+    np.add.at(out, flat.ravel(), terms.ravel())
+    return out.reshape(d * d, d * d)
 
 
 def densify(state: BlochDiagonalState) -> np.ndarray:

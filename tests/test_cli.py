@@ -255,6 +255,14 @@ def test_verify_wrong_tag_is_usage_error(tmp_path, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_copies", [2, 3])
+def test_verify_multi_copy_state_is_usage_error(tmp_path, capsys, n_copies):
+    power = states.tensor_power(states.rho_be(), n_copies)
+    path = _write_state(tmp_path / "power.json", power)
+    assert main(["verify", "--state", path]) == 2
+    assert f"got {n_copies} copies" in capsys.readouterr().err
+
+
 def test_verify_builtin_state_passes(capsys):
     assert main(["verify", "--state", "rho_be"]) == 0
     out = capsys.readouterr().out

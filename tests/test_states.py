@@ -37,12 +37,32 @@ def test_ccnr_fast_path_matches_realignment():
         assert abs(st.ccnr_fast() - dense) < 1e-10
 
 
-@pytest.mark.parametrize("n_copies", [1, 2])
-def test_bloch_densify_matches_literal_sum(n_copies):
-    basis = pauli.pauli_basis(2 * n_copies)
-    lam = np.random.default_rng(8).normal(size=16**n_copies) / 4**n_copies
+@pytest.mark.parametrize("n_qubits,lam", [
+    (2, np.random.default_rng(8).normal(size=16) / 4),
+    (4, np.random.default_rng(8).normal(size=256) / 16),
+    (3, np.random.default_rng(8).normal(size=64) / 8),
+    (4, states.tensor_power(states.rho_be(), 2).lambdas),
+], ids=["1", "2", "3-qubit", "rho_be-squared"])
+def test_bloch_densify_matches_literal_sum(n_qubits, lam):
+    """Bit for bit, signed zeros included, against the Kronecker sum."""
+    basis = pauli.pauli_basis(n_qubits)
     literal = sum(l * np.kron(g, g) for l, g in zip(lam, basis))
-    assert np.max(np.abs(states.bloch_densify(lam, basis) - literal)) < 1e-15
+    got = states.bloch_densify(lam, basis)
+    assert np.array_equal(got.view(np.int64), literal.view(np.int64))
+
+
+def test_bloch_densify_rejects_non_monomial_basis():
+    """The Pauli basis rotated by pi/4 about Y is Hermitian and
+    orthonormal, but X and Z become (X +- Z)/sqrt(2), with two entries of
+    size 1/2 in every row.  (A Hadamard rotation would only permute the
+    Paulis.)"""
+    c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+    r = np.array([[c, -s], [s, c]])
+    basis = r @ pauli.pauli_basis(1) @ r.T
+    assert np.allclose(basis, np.conj(np.swapaxes(basis, 1, 2)))
+    assert np.count_nonzero(np.abs(basis) > 0.4, axis=2).max() == 2
+    with pytest.raises(ValueError, match="one nonzero entry per row"):
+        states.bloch_densify(states.rho_be().lambdas[:4], basis)
 
 
 def test_realignment_entries_are_traces():
