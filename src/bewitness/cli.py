@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import protocol, states, verify
+from . import linalg, protocol, states, verify
 from .optimize import AscentConfig, SeesawConfig, ccnr_ascent_bloch_ppt, seesaw_classical, seesaw_quantum
 
 
@@ -319,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    linalg.single_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

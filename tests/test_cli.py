@@ -1,4 +1,6 @@
+import ctypes
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +269,11 @@ def test_verify_builtin_state_passes(capsys):
     assert main(["verify", "--state", "rho_be"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3 and "FAIL" not in out
+
+
+def test_cli_runs_bundled_openblas_on_one_thread(capsys):
+    libs = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        pytest.skip("numpy does not bundle scipy-openblas")
+    assert main(["scaling", "--n-max", "1"]) == 0
+    assert ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_() == 1
