@@ -285,7 +285,12 @@ def check_be_convention(state: BlochDiagonalState) -> None:
     {1/6 x6, 0 x10} (state and partial transpose) fails, or the
     coefficient table disagrees with the normative flat-index layout.
     The caller sees which check failed rather than a silent permutation.
+    The table is a one-copy table, so a multi-copy state fails it.
     """
+    if state.n_copies != 1:
+        raise ConventionError(
+            f"the {CONVENTION_TAG} table covers one copy, got {state.n_copies} copies"
+        )
     want = np.array([float(v) for v in rho_be_lambdas_exact()])
     if not np.allclose(state.lambdas, want, atol=1e-12):
         raise ConventionError(

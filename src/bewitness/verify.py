@@ -63,6 +63,9 @@ def check_spectrum(state: states.BlochDiagonalState | None = None) -> CheckResul
     """Spectrum of the state and its partial transpose: 1/6 x6, 0 x10."""
     t0 = time.perf_counter()
     state = state if state is not None else states.rho_be()
+    if state.n_copies != 1:
+        detail = f"the pattern 1/6 x6, 0 x10 is one copy's, got {state.n_copies} copies"
+        return _finish("01-spectrum", 1.0, t0, False, detail)
     report = states.ppt_check(state)
     expected = np.array([1 / 6] * 6 + [0.0] * 10)
     dev_state = float(np.max(np.abs(np.sort(report.spectrum_state)[::-1] - expected)))

@@ -238,3 +238,64 @@ def test_report_serialization_round_trip():
     assert len(d["restart_values"]) == 2
     assert len(d["best_lambdas"]) == 16
     assert d["config"]["n_restarts"] == 2
+
+
+def _proposals(poly, seed, rows, step):
+    """Seeded ascent-like proposals: a feasible point plus one step."""
+    rng = np.random.default_rng(seed)
+    k = poly.c.shape[0]
+    start = 0.1 * rng.normal(size=(rows, k))
+    start[:, 0] = poly.id_coeff
+    prev, converged = poly.dykstra_rows(start, cap=20000, tol=1e-12)
+    assert converged.all()
+    signs = np.where(rng.normal(size=(rows, k)) < 0, -1.0, 1.0)
+    signs[:, 0] = 0.0
+    return prev + step * signs / np.linalg.norm(signs, axis=1, keepdims=True), prev
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_exact_projection_matches_converged_dykstra(d):
+    poly = _BlochPolytope(d)
+    for seed in (1, 2):
+        prop, prev = _proposals(poly, seed, rows=6, step=0.05)
+        exact, certified = poly.project_exact_rows(prop, prev)
+        assert certified.all()
+        ref, converged = poly.dykstra_rows(prop, cap=200000, tol=1e-13)
+        assert converged.all()
+        assert np.max(np.abs(exact - ref)) < 1e-9
+        assert poly.min_eig_rows(exact).min() >= -1e-12
+        assert np.array_equal(exact[:, 0], np.full(6, poly.id_coeff))
+
+
+def test_uncertified_row_goes_to_dykstra():
+    poly = _BlochPolytope(8)
+    prop, prev = _proposals(poly, 28, rows=1, step=0.3)
+    _, certified = poly.project_exact_rows(prop, prev)
+    assert not certified[0]
+    active = np.ones(1, bool)
+    out, converged, handed = poly.project_step_rows(prop, prev, 500, 1e-11, active)
+    ref, ref_converged = poly.dykstra_rows(prop, 500, 1e-11)
+    assert handed[0]
+    assert np.array_equal(out, ref)
+    assert np.array_equal(converged, ref_converged)
+
+
+def test_exact_step_reaches_three_halves_without_overshoot():
+    # Dykstra's iterates were infeasible by ~2e-11 and read 1.50000000025
+    configs = (
+        AscentConfig(n_restarts=8, max_iters=250, max_outer=1, seed=11),
+        AscentConfig(n_restarts=6, max_iters=600),
+    )
+    for cfg in configs:
+        rep = ccnr_ascent_bloch_ppt(4, cfg)
+        assert max(rep.restart_values) <= 1.5 + 1e-12
+        assert rep.best_value >= 1.5 - 1e-12
+        assert rep.dykstra_steps == [0] * cfg.n_restarts
+
+
+def test_d16_steps_all_go_to_dykstra():
+    rep = ccnr_ascent_bloch_ppt(
+        16, AscentConfig(n_restarts=1, max_iters=3, max_outer=1)
+    )
+    assert rep.dykstra_steps == rep.iterations_used == [3]
+    assert rep.to_dict()["dykstra_steps"] == [3]

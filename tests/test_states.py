@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bewitness import linalg, pauli, states
+from bewitness import linalg, pauli, states, verify
 
 
 def test_target_coefficient_table():
@@ -210,3 +210,13 @@ def test_maximally_mixed_diagnostics():
     mm = states.mix_with_white_noise(states.rho_be(), 0.0)
     assert abs(mm.ccnr_fast() - 0.25) < 1e-15
     assert states.ppt_check(mm).is_ppt
+
+
+def test_one_copy_checks_fail_on_a_multi_copy_state():
+    results = verify.run_all(states.tensor_power(states.rho_be(), 2))
+    by_name = {r.name: r for r in results}
+    for name in ("00-convention", "01-spectrum"):
+        assert not by_name[name].passed
+        assert "2 copies" in by_name[name].detail
+    with pytest.raises(states.ConventionError, match="2 copies"):
+        states.check_be_convention(states.tensor_power(states.rho_be(), 2))
