@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import linalg, protocol, states, verify
+from . import protocol, states, verify
 from .optimize import AscentConfig, SeesawConfig, ccnr_ascent_bloch_ppt, seesaw_classical, seesaw_quantum
 
 
@@ -283,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("brute", "factored", "closed"), default="brute")
     p.add_argument("--samples", type=int, default=10_000,
                    help="triple count for sampled methods")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
     common(p)
     p.set_defaults(fn=cmd_witness)
 
@@ -319,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    linalg.single_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,9 +8,6 @@ matrices along leading axes.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -148,12 +145,3 @@ def partial_transpose(a: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
         .reshape(d, d)
     )
 
-
-@functools.cache
-def single_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread from now on; a no-op
-    under any other BLAS.  At 256 x 256, the largest dense size here, its
-    worker thread spins on a second core between calls, slows down while
-    another process holds that core, and moves the last bits of eigh."""
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
-        ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)

@@ -11,9 +11,10 @@ The feasible set of the CCNR search is handled in coefficient space.
 The operators G_k (x) G_k pairwise commute (Pauli strings commute or
 anticommute, and the sign cancels on the doubled copy), so they share
 one eigenbasis: per qubit pair it is the Bell basis.  The matrix of
-joint eigenvalues is the n-fold Kronecker power of a 4 x 4 sign table
-and is orthogonal, which turns the positivity projections into exact
-clip-in-eigenbasis maps: two matrix-vector products each.
+joint eigenvalues (`pauli.joint_eigenvalue_matrix`) is the n-fold
+Kronecker power of a 4 x 4 sign table and is orthogonal, which turns
+the positivity projections into exact clip-in-eigenbasis maps: two
+matrix-vector products each.
 
 Each ascent step projects back onto the PPT polytope exactly, by a
 primal-dual active-set solve in eigenvalue coordinates that is accepted
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, pauli, protocol
+from .pauli import joint_eigenvalue_matrix
 from .protocol import Strategy, sep_upper_bound
 
 MONOTONE_SLACK = 1e-10
@@ -462,37 +464,6 @@ def seesaw_classical(
 
 # ---------------------------------------------------------------------------
 # projected subgradient ascent of the CCNR over Bloch-diagonal PPT states
-
-
-def _bell_sign_table() -> np.ndarray:
-    """Eigenvalues of P_a (x) P_a (unnormalised Paulis) on the Bell basis."""
-    bells = (
-        np.array([1, 0, 0, 1]) / np.sqrt(2),
-        np.array([1, 0, 0, -1]) / np.sqrt(2),
-        np.array([0, 1, 1, 0]) / np.sqrt(2),
-        np.array([0, 1, -1, 0]) / np.sqrt(2),
-    )
-    paulis = 2.0 * pauli.pauli_basis(1)
-    table = np.zeros((4, 4), dtype=np.int64)
-    for m, b in enumerate(bells):
-        for a, p in enumerate(paulis):
-            val = np.real(b.conj() @ np.kron(p, p) @ b)
-            assert abs(val - np.rint(val)) < 1e-9
-            table[m, a] = int(np.rint(val))
-    return table
-
-
-def joint_eigenvalue_matrix(local_dim: int) -> np.ndarray:
-    """Orthogonal matrix C with (C lam)_m = m-th eigenvalue of
-    sum_k lam_k G_k (x) G_k, rows indexed by products of Bell labels."""
-    n = local_dim.bit_length() - 1
-    if 2**n != local_dim:
-        raise ValueError("local dimension must be a power of two")
-    base = _bell_sign_table() / 4.0
-    c = base
-    for _ in range(n - 1):
-        c = np.kron(c, base)
-    return c
 
 
 # The exact step solves one (K+1)-square system per row and active-set

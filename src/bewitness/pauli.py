@@ -45,6 +45,20 @@ _SIGMA = (
 # Transpose signs of the sub-normalised Paulis: Y is antisymmetric.
 SIGMA_TRANSPOSE_SIGNS = np.array([1, 1, -1, 1], dtype=np.int64)
 
+# Eigenvalues of sigma_a (x) sigma_a (unnormalised Paulis) on the Bell
+# states: row m is (Phi+, Phi-, Psi+, Psi-), column a is (I, X, Y, Z).
+# The operators G_k (x) G_k pairwise commute and share this eigenbasis
+# on every qubit pair.
+BELL_SIGNS = np.array(
+    [
+        [1, 1, -1, 1],
+        [1, -1, 1, 1],
+        [1, 1, 1, -1],
+        [1, -1, -1, -1],
+    ],
+    dtype=np.int64,
+)
+
 _MAX_QUBITS = 8
 
 
@@ -121,3 +135,32 @@ def pauli_basis(n_qubits: int) -> np.ndarray:
 def pauli_transpose_signs(n_qubits: int) -> np.ndarray:
     """Signs t_k with G_k^T = t_k G_k for the n-qubit basis."""
     return kron_power(SIGMA_TRANSPOSE_SIGNS, n_qubits)
+
+
+def joint_eigenvalue_matrix(local_dim: int) -> np.ndarray:
+    """Orthogonal matrix C with (C lam)_m = m-th eigenvalue of
+    sum_k lam_k G_k (x) G_k on local dimension d = 2^n, rows indexed by
+    products of Bell labels: the n-th Kronecker power of BELL_SIGNS / 2."""
+    n = local_dim.bit_length() - 1
+    if 2**n != local_dim:
+        raise ValueError("local dimension must be a power of two")
+    return kron_power(BELL_SIGNS / 2, n)
+
+
+def bell_spectrum(lam: np.ndarray, partial_transpose: bool = False) -> np.ndarray:
+    """Eigenvalues C lam of sum_k lam_k G_k (x) G_k (C as in
+    joint_eigenvalue_matrix, not built): BELL_SIGNS along each base-4
+    digit axis of lam (length 4^n), then an exact 2^-n.  The partial
+    transpose's spectrum is the same map of pauli_transpose_signs(n) * lam.
+    Fraction entries (object dtype) give exact eigenvalues.
+    """
+    lam = np.asarray(lam)
+    n = (lam.size.bit_length() - 1) // 2
+    if lam.shape != (4**n,):
+        raise ValueError(f"coefficient vector of shape {lam.shape} is not of length 4^n")
+    if partial_transpose:
+        lam = pauli_transpose_signs(n) * lam
+    out = lam.reshape((4,) * n)
+    for axis in range(n):
+        out = np.moveaxis(np.tensordot(BELL_SIGNS, out, axes=(1, axis)), 0, axis)
+    return out.reshape(-1) / 2**n

@@ -3,14 +3,16 @@
 A Bloch-diagonal state on (4^N) x (4^N) is stored as its coefficient
 vector lambda over the product basis {G_k (x) G_k}: rho = sum_k
 lambda_k G_k (x) G_k, with k running over flat base-16 multi-indices
-(first copy = most significant digit).  Densification is on demand and
-capped at two copies (256 x 256).
+(first copy = most significant digit).  Every PSD and PPT question is
+answered by the Bell-basis eigenvalue map `pauli.bell_spectrum`, exact
+for any copy count.  Densification is on demand, capped at two copies
+(256 x 256), and serves the dense oracles the tests check that map with.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -79,7 +81,12 @@ class EntanglementReport:
     ccnr: float
     spectrum_state: np.ndarray
     spectrum_pt: np.ndarray
-    per_copy_certified: bool = False
+
+    @classmethod
+    def from_spectra(cls, spec, spec_pt, ccnr_val: float) -> "EntanglementReport":
+        """Report from descending spectra of the state and its partial transpose."""
+        min_pt = float(spec_pt[-1])
+        return cls(float(spec[-1]), min_pt, bool(min_pt >= PSD_EIG_TOL), ccnr_val, spec, spec_pt)
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +96,6 @@ class EntanglementReport:
             "ccnr": self.ccnr,
             "spectrum_state": list(map(float, self.spectrum_state)),
             "spectrum_pt": list(map(float, self.spectrum_pt)),
-            "per_copy_certified": self.per_copy_certified,
         }
 
 
@@ -236,46 +242,29 @@ def ccnr(obj, basis: np.ndarray | None = None) -> float:
 
 
 def ppt_report(op: np.ndarray, dim_a: int, dim_b: int) -> EntanglementReport:
-    """Spectral + realignment diagnostics for a dense bipartite state."""
+    """Spectral + realignment diagnostics for a dense bipartite state, by
+    eigh and SVD: the independent oracle for `ppt_check`."""
     op = linalg.require_hermitian(op)
-    spec = linalg.eigh(op).eigenvalues
-    pt = linalg.partial_transpose(op, dim_a, dim_b)
-    spec_pt = linalg.eigh(pt).eigenvalues
-    ccnr_val = linalg.trace_norm(realignment_computational(op, dim_a, dim_b))
-    min_pt = float(spec_pt[-1])
-    return EntanglementReport(
-        min_eig_state=float(spec[-1]),
-        min_eig_pt=min_pt,
-        is_ppt=bool(min_pt >= PSD_EIG_TOL),
-        ccnr=ccnr_val,
-        spectrum_state=spec,
-        spectrum_pt=spec_pt,
+    return EntanglementReport.from_spectra(
+        linalg.eigh(op).eigenvalues,
+        linalg.eigh(linalg.partial_transpose(op, dim_a, dim_b)).eigenvalues,
+        linalg.trace_norm(realignment_computational(op, dim_a, dim_b)),
     )
 
 
 def ppt_check(state: BlochDiagonalState) -> EntanglementReport:
-    """EntanglementReport for a Bloch-diagonal state.
+    """EntanglementReport for a Bloch-diagonal state of any copy count.
 
-    Up to two copies the state is densified and checked directly.  For
-    more copies only exact tensor powers can be certified: the state
-    must equal the N-th tensor power of its first-copy marginal, which
-    is checked at dimension 16, and the report carries
-    per_copy_certified=True with per-copy spectra.  The partial
-    transpose of a tensor product is the product of partial transposes,
-    so per-copy PPT settles the joint question.  The CCNR is always the
-    exact fast-path value sum |lambda| of the whole state.
+    The spectra of the state and of its partial transpose are the joint
+    16^N Bell-basis eigenvalues from `pauli.bell_spectrum`, sorted
+    descending; nothing is densified or diagonalised.  The CCNR is the
+    exact fast-path value sum |lambda|.
     """
-    if state.n_copies <= _DENSIFY_MAX_COPIES:
-        d = state.local_dim
-        return replace(ppt_report(densify(state), d, d), ccnr=state.ccnr_fast())
-    marginal = first_copy_marginal(state)
-    power = tensor_power(marginal, state.n_copies)
-    if not np.allclose(power.lambdas, state.lambdas, atol=1e-12):
-        raise ValueError(
-            "state with more than two copies is not a tensor power; "
-            "cannot certify PPT per copy"
-        )
-    return replace(ppt_check(marginal), ccnr=state.ccnr_fast(), per_copy_certified=True)
+    return EntanglementReport.from_spectra(
+        np.sort(pauli.bell_spectrum(state.lambdas))[::-1],
+        np.sort(pauli.bell_spectrum(state.lambdas, partial_transpose=True))[::-1],
+        state.ccnr_fast(),
+    )
 
 
 def check_be_convention(state: BlochDiagonalState) -> None:

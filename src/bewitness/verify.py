@@ -14,11 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg, pauli, protocol, states
+from . import pauli, protocol, states
 from .optimize import (
     AscentConfig,
     SeesawConfig,
-    _BlochPolytope,
     ccnr_ascent_bloch_ppt,
     optimal_measurement,
     seesaw_classical,
@@ -60,18 +59,29 @@ def _finish(name, budget, t0, ok, detail) -> CheckResult:
 
 
 def check_spectrum(state: states.BlochDiagonalState | None = None) -> CheckResult:
-    """Spectrum of the state and its partial transpose: 1/6 x6, 0 x10."""
+    """Spectrum of the state and its partial transpose: 1/6 x6, 0 x10.
+
+    For the builtin state the pattern is also certified exactly, with the
+    Bell-basis eigenvalue map applied to the Fraction coefficient table.
+    """
     t0 = time.perf_counter()
-    state = state if state is not None else states.rho_be()
+    builtin = state is None
+    state = states.rho_be() if builtin else state
     if state.n_copies != 1:
         detail = f"the pattern 1/6 x6, 0 x10 is one copy's, got {state.n_copies} copies"
         return _finish("01-spectrum", 1.0, t0, False, detail)
     report = states.ppt_check(state)
     expected = np.array([1 / 6] * 6 + [0.0] * 10)
-    dev_state = float(np.max(np.abs(np.sort(report.spectrum_state)[::-1] - expected)))
-    dev_pt = float(np.max(np.abs(np.sort(report.spectrum_pt)[::-1] - expected)))
-    ok = dev_state < 1e-10 and dev_pt < 1e-10
-    detail = f"max eigenvalue deviation {max(dev_state, dev_pt):.2e} (state/PT)"
+    dev = float(np.max(np.abs([report.spectrum_state - expected, report.spectrum_pt - expected])))
+    ok = dev < 1e-10
+    detail = f"max eigenvalue deviation {dev:.2e} (state/PT)"
+    if builtin:
+        lam = np.array(states.rho_be_lambdas_exact(), dtype=object)
+        want = [Fraction(0)] * 10 + [Fraction(1, 6)] * 6
+        exact = all(sorted(pauli.bell_spectrum(lam, partial_transpose=pt)) == want
+                    for pt in (False, True))
+        ok = ok and exact
+        detail += "; exact 1/6 x6, 0 x10" if exact else "; exact spectra differ from 1/6 x6, 0 x10"
     return _finish("01-spectrum", 1.0, t0, ok, detail)
 
 
@@ -193,7 +203,8 @@ def check_ccnr_ascent() -> CheckResult:
         for attempt in range(ASCENT_MAX_TRIES):
             cfg = replace(base, seed=base.seed + attempt * ASCENT_RETRY_SEED_STEP)
             rep = ccnr_ascent_bloch_ppt(d, cfg)
-            feas = float(_BlochPolytope(d).min_eig_rows(rep.best_lambdas[None])[0])
+            feas = min(float(pauli.bell_spectrum(rep.best_lambdas, partial_transpose=pt).min())
+                       for pt in (False, True))
             if rep.best_value >= target and feas >= -1e-8:
                 reached = (rep.best_value, attempt + 1, feas)
                 break

@@ -123,3 +123,24 @@ def test_transpose_signs_match_dense_transpose(n):
     t = pauli.pauli_transpose_signs(n)
     for g, sign in zip(basis, t):
         assert np.max(np.abs(g.T - sign * g)) < 1e-15
+
+
+def test_bell_signs_are_bell_state_eigenvalues():
+    """Bell state m is an eigenvector of sigma_a (x) sigma_a with
+    eigenvalue BELL_SIGNS[m, a]."""
+    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+    sigma = np.sqrt(2) * pauli.pauli_basis(1)
+    for m, bell in enumerate(bells):
+        for a, s in enumerate(sigma):
+            assert np.allclose(np.kron(s, s) @ bell, pauli.BELL_SIGNS[m, a] * bell, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bell_spectrum_is_the_joint_eigenvalue_matrix(n):
+    lam = np.random.default_rng(n).normal(size=4**n)
+    c = pauli.joint_eigenvalue_matrix(2**n)
+    t = pauli.pauli_transpose_signs(n)
+    assert np.max(np.abs(pauli.bell_spectrum(lam) - c @ lam)) < 1e-14
+    assert np.max(np.abs(pauli.bell_spectrum(lam, True) - c @ (t * lam))) < 1e-14
+    with pytest.raises(ValueError, match="4\\^n"):
+        pauli.bell_spectrum(lam[:-1])

@@ -111,24 +111,56 @@ def test_tensor_power_ccnr_multiplicative():
     pair = states.tensor_power(rho, 2)
     assert abs(pair.ccnr_fast() - 2.25) < 1e-12
     rep = states.ppt_check(pair)
-    assert rep.is_ppt and not rep.per_copy_certified
+    assert rep.is_ppt
 
 
 def test_three_copies_certified_per_copy():
-    trip = states.tensor_power(states.rho_be(), 3)
-    rep = states.ppt_check(trip)
-    assert rep.per_copy_certified
+    """The 3-copy power is certified PPT on its joint 16^3 spectra, the
+    sorted triple products of the one-copy spectra."""
+    one = states.ppt_check(states.rho_be())
+    rep = states.ppt_check(states.tensor_power(states.rho_be(), 3))
+    for got, per_copy in ((rep.spectrum_state, one.spectrum_state),
+                          (rep.spectrum_pt, one.spectrum_pt)):
+        want = np.sort(linalg.kron_power(per_copy, 3))[::-1]
+        assert np.max(np.abs(got - want)) < 1e-15
     assert rep.is_ppt
     assert abs(rep.ccnr - 1.5**3) < 1e-12
 
 
 def test_three_copy_non_power_rejected():
+    """A 3-copy state that is no tensor power is evaluated, not refused:
+    this one is not even PSD."""
     trip = states.tensor_power(states.rho_be(), 3)
     lam = trip.lambdas.copy()
     lam[5] += 1e-3
-    bent = states.BlochDiagonalState(n_copies=3, lambdas=lam)
-    with pytest.raises(ValueError, match="tensor power"):
-        states.ppt_check(bent)
+    rep = states.ppt_check(states.BlochDiagonalState(n_copies=3, lambdas=lam))
+    assert rep.min_eig_state < states.PSD_EIG_TOL
+    assert abs(rep.min_eig_state + 1.5625e-5) < 1e-8
+
+
+@pytest.mark.parametrize("n_copies", [1, 2])
+def test_bell_spectra_match_dense_ppt_report(n_copies):
+    rng = np.random.default_rng(40 + n_copies)
+    for _ in range(10):
+        lam = rng.normal(size=16**n_copies) / 4**n_copies
+        lam[0] = 1 / 4**n_copies
+        st = states.BlochDiagonalState(n_copies=n_copies, lambdas=lam)
+        fast = states.ppt_check(st)
+        dense = states.ppt_report(states.densify(st), st.local_dim, st.local_dim)
+        assert np.max(np.abs(fast.spectrum_state - dense.spectrum_state)) < 1e-12
+        assert np.max(np.abs(fast.spectrum_pt - dense.spectrum_pt)) < 1e-12
+        assert fast.is_ppt == dense.is_ppt
+
+
+@pytest.mark.parametrize("n_copies", [1, 2, 3])
+def test_ppt_check_builds_no_dense_matrix(n_copies, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ppt_check must not densify, diagonalise or run an SVD")
+
+    for mod, name in ((states, "densify"), (linalg, "eigh"), (linalg, "trace_norm")):
+        monkeypatch.setattr(mod, name, refuse)
+    rep = states.ppt_check(states.tensor_power(states.rho_be(), n_copies))
+    assert rep.is_ppt and rep.spectrum_state.shape == (16**n_copies,)
 
 
 def test_mix_with_white_noise_affine_in_ccnr():
@@ -220,3 +252,8 @@ def test_one_copy_checks_fail_on_a_multi_copy_state():
         assert "2 copies" in by_name[name].detail
     with pytest.raises(states.ConventionError, match="2 copies"):
         states.check_be_convention(states.tensor_power(states.rho_be(), 2))
+
+
+def test_spectrum_check_certifies_the_builtin_exactly():
+    assert verify.check_spectrum().detail.endswith("; exact 1/6 x6, 0 x10")
+    assert "exact" not in verify.check_spectrum(states.rho_be()).detail
