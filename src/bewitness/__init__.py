@@ -31,7 +31,6 @@ from .states import (
     load_state,
     mix_with_white_noise,
     ppt_check,
-    realignment,
     rho_be,
     tensor_power,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "partial_transpose",
     "pauli_basis",
     "ppt_check",
-    "realignment",
     "rho_be",
     "seesaw_classical",
     "seesaw_quantum",

@@ -93,11 +93,6 @@ def trace_norm(m: np.ndarray) -> float:
     return tn
 
 
-def frobenius_norm(m: np.ndarray) -> float:
-    """sqrt(trace(A^dagger A))."""
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a size guard."""
     a = np.asarray(a)

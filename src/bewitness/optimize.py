@@ -26,7 +26,7 @@ exact step's linear systems cost more than the sweeps they save.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,41 +56,31 @@ class SeesawConfig:
             raise ValueError("channel_dim must lie in 2..16")
 
     def to_dict(self) -> dict:
-        return {
-            "channel_dim": self.channel_dim,
-            "n_restarts": self.n_restarts,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
+        return asdict(self)
+
+
+# CCNR ascent: step ASCENT_STEP0 / sqrt(iteration); sweep cap and
+# tolerance of each Dykstra projection; coefficients within
+# SIGN_ZERO_TOL of zero (Dykstra leaves ~1e-12 at a vertex) keep their sign
+ASCENT_STEP0 = 0.1
+DYKSTRA_CAP = 500
+DYKSTRA_TOL = 1e-11
+SIGN_ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class AscentConfig:
     n_restarts: int = 20
     max_iters: int = 2000
-    step0: float = 0.1
-    dykstra_cap: int = 500
-    dykstra_tol: float = 1e-11
     max_outer: int = 6
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_restarts, self.max_iters, self.dykstra_cap, self.max_outer) < 1:
-            raise ValueError("restart, iteration and cap counts must be >= 1")
-        if self.step0 <= 0 or self.dykstra_tol <= 0:
-            raise ValueError("step0 and dykstra_tol must be positive")
+        if min(self.n_restarts, self.max_iters, self.max_outer) < 1:
+            raise ValueError("restart, iteration and outer-round counts must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "n_restarts": self.n_restarts,
-            "max_iters": self.max_iters,
-            "step0": self.step0,
-            "dykstra_cap": self.dykstra_cap,
-            "dykstra_tol": self.dykstra_tol,
-            "max_outer": self.max_outer,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -663,6 +653,14 @@ class _BlochPolytope:
 _INITIAL_PULL_FACTOR = 40
 
 
+def _refresh_signs(lam: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Signs of the coefficient rows `lam`; the identity coefficient and
+    any entry within SIGN_ZERO_TOL of zero keep their sign in `prev`."""
+    keep = np.abs(lam) <= SIGN_ZERO_TOL
+    keep[:, 0] = True
+    return np.where(keep, prev, np.where(lam < 0, -1.0, 1.0))
+
+
 def _ascent_all(poly: _BlochPolytope, cfg: AscentConfig) -> dict:
     """All restarts in lockstep rows; per-restart math is unchanged."""
     r_count = cfg.n_restarts
@@ -674,9 +672,7 @@ def _ascent_all(poly: _BlochPolytope, cfg: AscentConfig) -> dict:
         start[0] = poly.id_coeff
         lam[r] = start + 0.1 * rng.normal(size=k)
 
-    lam, conv = poly.dykstra_rows(
-        lam, cfg.dykstra_cap * _INITIAL_PULL_FACTOR, cfg.dykstra_tol
-    )
+    lam, conv = poly.dykstra_rows(lam, DYKSTRA_CAP * _INITIAL_PULL_FACTOR, DYKSTRA_TOL)
     flagged = ~conv
     me = poly.min_eig_rows(lam)
     min_eig_seen = me.copy()
@@ -684,19 +680,18 @@ def _ascent_all(poly: _BlochPolytope, cfg: AscentConfig) -> dict:
     feasible = me >= PPT_ITERATE_TOL
     best_ccnr = np.where(feasible, start_ccnr, -np.inf)
     best_lam = lam.copy()
-    signs = np.where(lam < 0, -1.0, 1.0)
-    signs[:, 0] = 1.0
+    signs = _refresh_signs(lam, np.ones_like(lam))
     active = np.ones(r_count, bool)
     iters_used = np.zeros(r_count, dtype=int)
     dykstra_steps = np.zeros(r_count, dtype=int)
 
     for _ in range(cfg.max_outer):
         for it in range(1, cfg.max_iters + 1):
-            step = cfg.step0 / np.sqrt(it)
+            step = ASCENT_STEP0 / np.sqrt(it)
             g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
             prop = np.where(active[:, None], lam + step * g, lam)
             lam_new, conv, handed = poly.project_step_rows(
-                prop, lam, cfg.dykstra_cap, cfg.dykstra_tol, active
+                prop, lam, DYKSTRA_CAP, DYKSTRA_TOL, active
             )
             flagged |= active & ~conv
             dykstra_steps += handed
@@ -710,8 +705,7 @@ def _ascent_all(poly: _BlochPolytope, cfg: AscentConfig) -> dict:
             best_lam = np.where(better[:, None], lam_new, best_lam)
             lam = np.where(active[:, None], lam_new, lam)
         iters_used += np.where(active, cfg.max_iters, 0)
-        new_signs = np.where(best_lam < 0, -1.0, 1.0)
-        new_signs[:, 0] = 1.0
+        new_signs = _refresh_signs(best_lam, signs)
         unchanged = np.all(new_signs == signs, axis=1)
         active &= ~unchanged
         if not active.any():
@@ -746,7 +740,8 @@ def ccnr_ascent_bloch_ppt(
     certificate holds; Dykstra's alternating scheme takes the steps it
     does not certify, every step at d = 16 and the pull-in of the random
     starts.  The report counts, per restart, the steps handed to Dykstra.
-    Outer loop refreshes s from the best iterate's signs.  Restarts run
+    Outer loop refreshes s from the best iterate's signs, except where a
+    coefficient is within SIGN_ZERO_TOL of zero.  Restarts run
     as one vectorized batch, one restart per row.
     """
     if local_dim not in (4, 8, 16):

@@ -81,10 +81,10 @@ class Strategy:
 
     kind "prepared_states": states_a/states_b hold 16 density matrices
     of dimension D each (single copy).  kind "entangled_unitaries":
-    shared_state holds the Bloch-diagonal resource and encoders_a/b the
-    16 per-copy unitaries.  decoders_a/b hold the per-copy factors of
-    C_z = decoders_a[z] (x) decoders_b[z]; any task sign is folded into
-    the A-side factor.
+    shared_state holds the Bloch-diagonal resource of n_copies copies
+    and encoders_a/b the 16 per-copy unitaries.  decoders_a/b hold the
+    per-copy factors of C_z = decoders_a[z] (x) decoders_b[z]; any task
+    sign is folded into the A-side factor.
     """
 
     kind: str
@@ -122,6 +122,11 @@ class Strategy:
         else:
             if self.shared_state is None or self.encoders_a is None or self.encoders_b is None:
                 raise ValueError("entangled strategy needs shared state and encoders")
+            if self.shared_state.n_copies != self.n_copies:
+                raise ValueError(
+                    f"shared state has {self.shared_state.n_copies} copies, "
+                    f"strategy has {self.n_copies}"
+                )
             u = np.concatenate([self.encoders_a, self.encoders_b])
             gram = linalg.dagger(u) @ u
             if np.max(np.abs(gram - np.eye(u.shape[-1]))) > UNITARITY_ATOL:
@@ -173,12 +178,6 @@ def _sample_indices(samples, n_copies: int) -> np.ndarray:
     return idx - 1
 
 
-def _dense_shared(strategy: Strategy) -> np.ndarray:
-    if strategy.shared_state is None:
-        raise ValueError("strategy has no shared state")
-    return states.densify(strategy.shared_state)
-
-
 def expectation(strategy: Strategy, xs, ys, zs) -> float:
     """Correlator E_xyz = tr[state . C] in [-1, 1] for one triple, by the
     literal Kronecker route: the reference for ``expectations_dense``."""
@@ -192,7 +191,7 @@ def expectation(strategy: Strategy, xs, ys, zs) -> float:
         u = linalg.kron_all([strategy.encoders_a[x] for x in xs])
         v = linalg.kron_all([strategy.encoders_b[y] for y in ys])
         uv = linalg.kron(u, v)
-        rotated = uv @ _dense_shared(strategy) @ uv.conj().T
+        rotated = uv @ states.densify(strategy.shared_state) @ uv.conj().T
         val = float(np.sum(rotated * c.T).real)
     if abs(val) > 1 + 1e-9:
         raise AssertionError(f"correlator {val} outside [-1, 1]")
@@ -247,7 +246,7 @@ def _expectation_table(strategy: Strategy) -> np.ndarray:
     else:
         u, v = np.asarray(strategy.encoders_a), np.asarray(strategy.encoders_b)
         d = u.shape[-1]
-        rho = _dense_shared(strategy).reshape(d, d, d, d)
+        rho = states.densify(strategy.shared_state).reshape(d, d, d, d)
         table = np.einsum("abcd,xea,xfc,zfe,ygb,yhd,zhg->xyz", rho, u, u.conj(),
                           ma, v, v.conj(), mb, optimize=True)
     return table.real
@@ -285,7 +284,7 @@ def expectations_dense(
     else:
         u, v = np.asarray(strategy.encoders_a), np.asarray(strategy.encoders_b)
         d = u.shape[-1] ** strategy.n_copies
-        rho = _dense_shared(strategy).reshape(d, d, d, d)
+        rho = states.densify(strategy.shared_state).reshape(d, d, d, d)
     out = np.empty(len(x))
     for i in range(0, len(x), _BLOCK_TRIPLES):
         b = slice(i, i + _BLOCK_TRIPLES)
@@ -322,11 +321,15 @@ def witness_closed_form(state: BlochDiagonalState, task: TaskSpec) -> WitnessRes
 
 
 def single_copy_expectation_table(state: BlochDiagonalState) -> np.ndarray:
-    """Table E1[x-1, y-1, z-1] of the entangled protocol on a one-copy
-    state: the one-copy correlator table of ``be_strategy(state)``."""
+    """Table E1[x-1, y-1, z-1] = 4 lambda_z f(x, z) f(y, z) of the
+    entangled protocol on a one-copy state: U_x = 2 G_x commutes with
+    G_z up to the sign f(x, z), and tr[rho (2 G_z) (x) (2 G_z)] =
+    4 lambda_z.  ``_expectation_table(be_strategy(state))`` is the dense
+    route to the same table."""
     if state.n_copies != 1:
         raise ValueError("expectation table is built from a single-copy state")
-    return _expectation_table(be_strategy(state))
+    f = pauli.F_TABLE
+    return 4.0 * state.lambdas * (f[:, None, :] * f[None, :, :])
 
 
 def witness_factored(

@@ -193,23 +193,6 @@ def densify(state: BlochDiagonalState) -> np.ndarray:
     return linalg.require_hermitian(rho)
 
 
-def realignment(op: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Matrix R[k, k'] = trace(op * G_k (x) G_k') for a basis stack (K, d, d).
-
-    Computed as a basis transform of the computational-basis realignment
-    rather than 4^(2n) individual traces.
-    """
-    basis = np.asarray(basis)
-    k, d, _ = basis.shape
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (d * d, d * d):
-        raise ValueError(f"operator shape {op.shape} does not match basis dim {d}")
-    rc = op.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    # row k of the transform is G_k^T flattened; G Hermitian so G^T = conj(G)
-    g_rows = basis.conj().reshape(k, d * d)
-    return g_rows @ rc @ g_rows.T
-
-
 def realignment_computational(op: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Computational-basis realignment; same singular values as any
     orthonormal-basis variant."""
@@ -223,21 +206,19 @@ def realignment_computational(op: np.ndarray, dim_a: int, dim_b: int) -> np.ndar
     )
 
 
-def ccnr(obj, basis: np.ndarray | None = None) -> float:
+def ccnr(obj) -> float:
     """Trace norm of the realignment matrix.
 
     Bloch-diagonal states take the exact fast path sum_k |lambda_k|;
-    dense operators go through realignment + SVD.  A square bipartition
-    is assumed for dense input unless a basis is given.
+    dense operators on a square bipartition go through the
+    computational-basis realignment and an SVD.
     """
     if isinstance(obj, BlochDiagonalState):
         return obj.ccnr_fast()
     op = np.asarray(obj)
-    if basis is not None:
-        return linalg.trace_norm(realignment(op, basis))
     d = round(np.sqrt(op.shape[0]))
     if d * d != op.shape[0]:
-        raise ValueError("cannot infer a square bipartition; pass a basis")
+        raise ValueError("cannot infer a square bipartition")
     return linalg.trace_norm(realignment_computational(op, d, d))
 
 

@@ -35,6 +35,7 @@ ASCENT_CHECK_CONFIGS = {
 ASCENT_TARGETS = {4: 1.499, 8: 1.69, 16: 2.24}
 ASCENT_RETRY_SEED_STEP = 1000
 ASCENT_MAX_TRIES = 4  # first attempt plus up to three fresh-seed retries
+FACTORIZATION_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -86,27 +87,35 @@ def check_spectrum(state: states.BlochDiagonalState | None = None) -> CheckResul
 
 
 def check_ccnr_value(state: states.BlochDiagonalState | None = None) -> CheckResult:
-    """CCNR of the bound entangled state is 3/2 on both computation paths."""
+    """CCNR of the bound entangled state is 3/2 by sum|lambda| and by the
+    SVD of the dense state's realignment; exactly 3/2 for the builtin."""
     t0 = time.perf_counter()
-    state = state if state is not None else states.rho_be()
+    builtin = state is None
+    state = states.rho_be() if builtin else state
     fast = state.ccnr_fast()
-    basis = pauli.pauli_basis(2 * state.n_copies)
-    dense = states.ccnr(states.densify(state), basis)
+    dense = states.ccnr(states.densify(state))
     ok = abs(fast - 1.5) < 1e-10 and abs(dense - 1.5) < 1e-10
     detail = f"sum|lambda|={fast:.12f}, realignment trace norm={dense:.12f}"
+    if builtin:
+        exact = sum(abs(v) for v in states.rho_be_lambdas_exact())
+        ok = ok and exact == Fraction(3, 2)
+        detail += f"; exact sum|lambda| = {exact}"
     return _finish("02-ccnr", 1.0, t0, ok, detail)
 
 
 def check_witness_brute_force() -> CheckResult:
-    """Single-copy brute force over all 4096 triples yields 3/8."""
+    """Single-copy brute force over all 4096 triples yields 3/8, as does
+    the exact closed form sum_k s_k lambda_k / 4 = (1/4 + 15/12)/4."""
     t0 = time.perf_counter()
     rho = states.rho_be()
     task = protocol.matched_task(rho)
     strat = protocol.be_strategy(rho)
     brute = protocol.witness_brute_force(strat, task)
     closed = protocol.witness_closed_form(rho, task)
-    ok = abs(brute.value - 0.375) < 1e-10 and abs(brute.value - closed.value) < 1e-10
-    detail = f"brute={brute.value:.12f}, closed={closed.value:.12f}"
+    exact = sum(int(s) * v for s, v in zip(task.signs, states.rho_be_lambdas_exact())) / 4
+    ok = (abs(brute.value - 0.375) < 1e-10 and abs(brute.value - closed.value) < 1e-10
+          and exact == Fraction(3, 8))
+    detail = f"brute={brute.value:.12f}, closed={closed.value:.12f}, exact closed={exact}"
     return _finish("03-witness-brute", 10.0, t0, ok, detail)
 
 
@@ -159,19 +168,20 @@ def check_overhead() -> CheckResult:
     return _finish("07-overhead", 1.0, t0, ok, f"dims {got}")
 
 
-def check_factorization(samples: int = 10_000) -> CheckResult:
+def check_factorization() -> CheckResult:
     """Two-copy factored expectations match the dense 256-dim route."""
     t0 = time.perf_counter()
     rho = states.rho_be()
     pair = states.tensor_power(rho, 2)
     task = protocol.matched_task(pair)
     strat = protocol.be_strategy(pair)
-    triples = protocol.sample_triples(2, samples, seed=0)
+    triples = protocol.sample_triples(2, FACTORIZATION_SAMPLES, seed=0)
     dense = protocol.expectations_dense(strat, triples)
     factored = protocol.witness_factored(rho, task, triples)
     worst = float(np.max(np.abs(factored - dense)))
     ok = worst < 1e-10
-    return _finish("08-factorization", 10.0, t0, ok, f"max |factored-dense| {worst:.2e} over {samples} triples")
+    detail = f"max |factored-dense| {worst:.2e} over {FACTORIZATION_SAMPLES} triples"
+    return _finish("08-factorization", 10.0, t0, ok, detail)
 
 
 def check_seesaw() -> CheckResult:

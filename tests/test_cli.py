@@ -79,6 +79,7 @@ def test_witness_usage_errors(capsys):
     assert main(["witness", "--strategy", "classical-d4", "--method", "factored"]) == 2
     assert "needs the entangled strategy" in capsys.readouterr().err
     assert main(["witness", "--n-copies", "3", "--method", "brute"]) == 2
+    assert "one or two copies" in capsys.readouterr().err
     for method in ("factored", "brute"):
         assert main(["witness", "--n-copies", "2", "--method", method, "--samples", "0"]) == 2
         assert "count >= 1" in capsys.readouterr().err

@@ -106,7 +106,7 @@ def test_partial_transpose_involution_and_invariants():
         back = linalg.partial_transpose(pt, dim_a, dim_b)
         assert np.array_equal(back, m)               # exact permutation
         assert abs(np.trace(pt) - np.trace(m)) < 1e-13
-        assert abs(linalg.frobenius_norm(pt) - linalg.frobenius_norm(m)) < 1e-12
+        assert abs(np.linalg.norm(pt) - np.linalg.norm(m)) < 1e-12
 
 
 def test_partial_transpose_singlet_negativity():

@@ -5,7 +5,9 @@ from bewitness import linalg, pauli, protocol, states
 from bewitness.optimize import (
     AscentConfig,
     SeesawConfig,
+    SIGN_ZERO_TOL,
     _BlochPolytope,
+    _refresh_signs,
     _witness_product_decoders,
     ccnr_ascent_bloch_ppt,
     joint_eigenvalue_matrix,
@@ -35,7 +37,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AscentConfig(n_restarts=0)
     with pytest.raises(ValueError):
-        AscentConfig(step0=-0.1)
+        AscentConfig(max_outer=0)
 
 
 def test_measurement_witness_agrees_with_brute_force():
@@ -224,6 +226,25 @@ def test_ccnr_ascent_deterministic_and_worker_independent():
     assert a.restart_values == b.restart_values
 
 
+def test_sign_refresh_keeps_signs_of_near_zero_entries():
+    """A coefficient that is 0 at a vertex comes out of a projection as
+    +-1e-12 or so; its sign is noise and must not start an outer round."""
+    assert SIGN_ZERO_TOL > 1.1e-12
+    lam = np.array([[0.25, -1.1e-12, 1.1e-12, -0.01, 0.02, 0.0]])
+    prev = np.array([[1.0, 1.0, -1.0, 1.0, -1.0, -1.0]])
+    assert np.array_equal(_refresh_signs(lam, prev), [[1.0, 1.0, -1.0, -1.0, 1.0, -1.0]])
+    start = _refresh_signs(lam, np.ones_like(lam))
+    assert np.array_equal(start, [[1.0, 1.0, 1.0, -1.0, 1.0, 1.0]])
+
+
+def test_ascent_stops_when_only_noise_signs_change():
+    # after round three, 17 entries below 1e-17 disagree in sign with the
+    # previous round; that noise must not start a fourth round
+    rep = ccnr_ascent_bloch_ppt(8, AscentConfig(n_restarts=1, max_iters=200, seed=0))
+    assert rep.iterations_used == [600]
+    assert abs(rep.best_value - 1.5) < 1e-8
+
+
 def test_ccnr_ascent_rejects_unsupported_dimensions():
     with pytest.raises(ValueError, match="4, 8, 16"):
         ccnr_ascent_bloch_ppt(5)
@@ -237,7 +258,7 @@ def test_report_serialization_round_trip():
     assert d["seed"] == 0
     assert len(d["restart_values"]) == 2
     assert len(d["best_lambdas"]) == 16
-    assert d["config"]["n_restarts"] == 2
+    assert d["config"] == {"n_restarts": 2, "max_iters": 50, "max_outer": 6, "seed": 0}
 
 
 def _proposals(poly, seed, rows, step):

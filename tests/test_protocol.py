@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,30 @@ def test_expectations_dense_matches_literal_route(rho, task):
         literal = np.array([protocol.expectation(st, *t) for t in tr])
         assert batched.shape == (len(tr),)
         assert np.max(np.abs(batched - literal)) < 1e-14
+
+
+def test_factored_table_matches_dense_table():
+    """The closed form 4 lambda_z f(x, z) f(y, z) against the dense
+    one-copy table of the entangled protocol, on random states."""
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        lam = rng.normal(size=16) * 0.05
+        lam[0] = 0.25
+        st = states.BlochDiagonalState(n_copies=1, lambdas=lam)
+        dense = protocol._expectation_table(protocol.be_strategy(st))
+        assert np.max(np.abs(protocol.single_copy_expectation_table(st) - dense)) < 1e-14
+        task = protocol.matched_task(st)
+        triples = protocol.sample_triples(1, 200, seed=7)
+        x, y, z = (triples[:, i, 0] - 1 for i in range(3))
+        factored = protocol.witness_factored(st, task, triples)
+        assert np.max(np.abs(factored - dense[x, y, z])) < 1e-14
+
+
+def test_entangled_strategy_validates_its_shared_state(rho, strat):
+    with pytest.raises(ValueError, match="needs shared state"):
+        dataclasses.replace(strat, shared_state=None)
+    with pytest.raises(ValueError, match="shared state has 2 copies, strategy has 1"):
+        dataclasses.replace(strat, shared_state=states.tensor_power(rho, 2))
 
 
 def test_task_weights_match_w_value(rho):

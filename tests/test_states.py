@@ -33,7 +33,7 @@ def test_ccnr_fast_path_matches_realignment():
         lam = rng.normal(size=16) * 0.05
         lam[0] = 0.25
         st = states.BlochDiagonalState(n_copies=1, lambdas=lam)
-        dense = states.ccnr(states.bloch_densify(lam, basis), basis)
+        dense = states.ccnr(states.bloch_densify(lam, basis))
         assert abs(st.ccnr_fast() - dense) < 1e-10
 
 
@@ -65,24 +65,15 @@ def test_bloch_densify_rejects_non_monomial_basis():
         states.bloch_densify(states.rho_be().lambdas[:4], basis)
 
 
-def test_realignment_entries_are_traces():
-    """Spot checks of R[k,k'] = tr(op G_k (x) G_k') against literal traces."""
-    basis = pauli.pauli_basis(1)
-    rng = np.random.default_rng(6)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    r = states.realignment(m, basis)
-    for k in rng.integers(0, 4, size=8):
-        for l in rng.integers(0, 4, size=2):
-            want = np.trace(m @ np.kron(basis[k], basis[l]))
-            assert abs(r[k, l] - want) < 1e-12
-
-
 def test_realignment_computational_preserves_singular_values():
+    """Same singular values as the Pauli-basis realignment, built here
+    entry by entry as R[k, l] = tr(op G_k (x) G_l)."""
     rng = np.random.default_rng(9)
     m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     m = 0.5 * (m + m.conj().T)
     basis = pauli.pauli_basis(2)
-    sv_basis = linalg.singular_values(states.realignment(m, basis))
+    r = np.array([[np.trace(m @ np.kron(g, h)) for h in basis] for g in basis])
+    sv_basis = linalg.singular_values(r)
     sv_comp = linalg.singular_values(states.realignment_computational(m, 4, 4))
     assert np.max(np.abs(sv_basis - sv_comp)) < 1e-10
 
@@ -257,3 +248,9 @@ def test_one_copy_checks_fail_on_a_multi_copy_state():
 def test_spectrum_check_certifies_the_builtin_exactly():
     assert verify.check_spectrum().detail.endswith("; exact 1/6 x6, 0 x10")
     assert "exact" not in verify.check_spectrum(states.rho_be()).detail
+
+
+def test_ccnr_and_witness_checks_certify_exactly():
+    assert verify.check_ccnr_value().detail.endswith("; exact sum|lambda| = 3/2")
+    assert "exact" not in verify.check_ccnr_value(states.rho_be()).detail
+    assert verify.check_witness_brute_force().detail.endswith(", exact closed=3/8")
