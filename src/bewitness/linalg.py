@@ -28,7 +28,7 @@ class Spectrum(NamedTuple):
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(np.conj(a), -1, -2)
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -46,24 +46,28 @@ def require_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    defect = hermiticity_defect(a)
+    a_dag = dagger(a)
+    defect = float(np.abs(a - a_dag).max()) if a.size else 0.0
     if defect > atol:
         raise ValueError(
             f"matrix is not Hermitian: max|A - A^dagger| = {defect:.3e} > {atol:.1e}"
         )
-    return 0.5 * (a + dagger(a))
+    return 0.5 * (a + a_dag)
 
 
 def eigh(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix or a stack (..., n, n).
 
     Eigenvalues come out sorted descending along the last axis; the sort
-    is stable, so tied eigenvalues keep LAPACK's order.  Eigenvector
-    phases are LAPACK's: use this only where the result does not depend
-    on them (spectra, projectors, matrix functions).
+    is stable, so tied eigenvalues keep LAPACK's order, and without ties
+    it is a reversal, returned as views.  Eigenvector phases are LAPACK's:
+    use this only where the result does not depend on them (spectra,
+    projectors, matrix functions).
     """
     h = require_hermitian(a, atol)
     w, v = np.linalg.eigh(h)
+    if (w[..., 1:] > w[..., :-1]).all():
+        return Spectrum(eigenvalues=w[..., ::-1], eigenvectors=v[..., ::-1])
     order = np.argsort(-w, axis=-1, kind="stable")
     return Spectrum(
         eigenvalues=np.take_along_axis(w, order, axis=-1),

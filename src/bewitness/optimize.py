@@ -3,7 +3,8 @@
 Two families live here.  The see-saw alternates closed-form block
 updates (states are top-eigenvector projectors of their effective
 operators, measurements are sign-projector products), driving the
-witness monotonically upward.  The CCNR search does projected
+witness monotonically upward; quantum restarts run in lockstep rows and
+sums over the +-1 table f(x, z) are real GEMMs.  The CCNR search does projected
 subgradient ascent of sum_k s_k lambda_k over Bloch-diagonal PPT states
 with an outer sign-refresh loop.
 
@@ -27,6 +28,7 @@ exact step's linear systems cost more than the sweeps they save.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -120,24 +122,35 @@ class OptimizationReport:
 
 # ---------------------------------------------------------------------------
 # see-saw over separable strategies; message states and decoders are
-# (16, D, D) stacks, indexed by the input x and the output z respectively
+# (..., 16, D, D) stacks, indexed by the input x and the output z respectively
 
-_F = pauli.F_TABLE.astype(float)
-
-
-def _o_operators(taus: np.ndarray) -> np.ndarray:
-    """O_z = sum_x f_xz tau_x for the 16 outputs."""
-    return np.einsum("xz,xab->zab", _F, np.asarray(taus))
+# f is symmetric.  Held in Fortran order it makes OpenBLAS sum each GEMM
+# entry in index order, as an einsum does; C order does not at odd D.
+_F = np.asfortranarray(pauli.F_TABLE, dtype=float)
 
 
-def _correlations(taus: np.ndarray, decoders: np.ndarray) -> np.ndarray:
-    """tr(O_z M_z) for the 16 outputs."""
-    return np.einsum("zab,zba->z", _o_operators(taus), np.asarray(decoders)).real
+def _f_sum(stack: np.ndarray) -> np.ndarray:
+    """sum_k f_jk stack_k over the 16-axis, one real GEMM on interleaved real
+    and imaginary parts: on message states, O_z = sum_x f_xz tau_x."""
+    stack = np.asarray(stack, dtype=complex)
+    flat = stack.reshape(*stack.shape[:-2], stack.shape[-1] ** 2).view(float)
+    return (_F @ flat).view(complex).reshape(stack.shape)
+
+
+def _correlations(ops: np.ndarray, decoders: np.ndarray) -> np.ndarray:
+    """tr(O_z M_z) for the 16 outputs.  The einsum sums in memory order, so
+    C-contiguous decoders make each row sum as a lone (16, D, D) stack."""
+    return np.einsum("...zab,...zba->...z", ops, np.ascontiguousarray(decoders)).real
+
+
+def _witness(c_a: np.ndarray, c_b: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """(1/16^3) sum_z s_z c_a_z c_b_z along the last axis."""
+    return _WITNESS_SCALE * (signs * c_a * c_b).sum(axis=-1)
 
 
 def _projectors(vecs: np.ndarray) -> np.ndarray:
     """Rank-1 projectors v v^dagger for a stack of unit vectors."""
-    return np.einsum("xa,xb->xab", vecs, vecs.conj())
+    return np.einsum("...a,...b->...ab", vecs, vecs.conj())
 
 
 def optimal_measurement(
@@ -152,14 +165,12 @@ def optimal_measurement(
     A factor.  The witness this measurement attains is
     (1/16^3) sum_z ||O_a_z||_1 ||O_b_z||_1, independent of the signs.
     Zero eigenvalues get sign +1; any fixed choice is optimal and this
-    one keeps runs reproducible.
+    one keeps runs reproducible.  Both sides share one `eigh`.
     """
-    decoders = []
-    for taus in (states_a, states_b):
-        spec = linalg.eigh(_o_operators(taus))
-        v = spec.eigenvectors
-        sgn = np.where(spec.eigenvalues < 0, -1.0, 1.0)
-        decoders.append((v * sgn[:, None, :]) @ linalg.dagger(v))
+    spec = linalg.eigh(_f_sum(np.stack([states_a, states_b])))
+    v = spec.eigenvectors
+    sgn = np.where(spec.eigenvalues < 0, -1.0, 1.0)
+    decoders = (v * sgn[..., None, :]) @ linalg.dagger(v)
     task_signs = np.asarray(signs, dtype=float)[:, None, None]
     return task_signs * decoders[0], decoders[1]
 
@@ -168,9 +179,9 @@ def _witness_product_decoders(
     states_a, states_b, dec_a, dec_b, signs
 ) -> float:
     """(1/16^3) sum_z s_z tr(O_a_z M_a_z) tr(O_b_z M_b_z)."""
-    ta = _correlations(states_a, dec_a)
-    tb = _correlations(states_b, dec_b)
-    return _WITNESS_SCALE * float(np.sum(signs * ta * tb))
+    ta = _correlations(_f_sum(states_a), dec_a)
+    tb = _correlations(_f_sum(states_b), dec_b)
+    return float(_witness(ta, tb, signs))
 
 
 def optimal_states_given_measurement(
@@ -178,18 +189,23 @@ def optimal_states_given_measurement(
     dec_other: np.ndarray,
     other_states: np.ndarray,
     signs: np.ndarray,
+    *,
+    other_correlations: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form state half-step: rank-1 projector onto the top
     eigenvector of each effective operator.
 
     With product decoders the witness is W = sum_x tr(tau_x A_x), where
     the partial trace collapses to a scalar:
-    A_x = (1/16^3) sum_z s_z f_xz tr(O_other_z M_other_z) M_self_z.
-    Ties inherit the eigendecomposition's deterministic ordering.  The
-    witness cannot decrease under this update.
+    A_x = (1/16^3) sum_z s_z f_xz c_z M_self_z, c_z = tr(O_other_z M_other_z),
+    which `other_correlations` passes in when the caller has it.  Ties
+    inherit the eigendecomposition's deterministic ordering.  The witness
+    cannot decrease under this update.
     """
-    weights = _F * (signs * _correlations(other_states, dec_other))
-    eff = _WITNESS_SCALE * np.einsum("xz,zab->xab", weights, np.asarray(dec_self))
+    if other_correlations is None:
+        other_correlations = _correlations(_f_sum(other_states), dec_other)
+    weight = (signs * other_correlations)[..., None, None]
+    eff = _WITNESS_SCALE * _f_sum(weight * np.asarray(dec_self))
     return _projectors(linalg.eigh(eff).eigenvectors[..., 0])
 
 
@@ -199,10 +215,7 @@ def _level_states(levels: np.ndarray, dim: int) -> np.ndarray:
 
 def _diag_o(levels: np.ndarray, dim: int) -> np.ndarray:
     """Diagonals of O_z for computational-basis encodings, shape (16, dim)."""
-    diag = np.zeros((16, dim), dtype=np.int64)
-    for x, level in enumerate(levels):
-        diag[:, level] += pauli.F_TABLE[x, :]
-    return diag
+    return pauli.F_TABLE.T @ np.eye(dim, dtype=np.int64)[levels]
 
 
 def _classical_sweep(
@@ -224,12 +237,10 @@ def _classical_sweep(
     for x in range(16):
         f_row = pauli.F_TABLE[x, :]
         diag[:, levels[x]] -= f_row
-        # candidate scores: remove-and-reinsert per level
-        base = np.sum(np.abs(diag), axis=1)          # (16,)
-        scores = np.empty(dim)
-        for cand in range(dim):
-            delta = np.abs(diag[:, cand] + f_row) - np.abs(diag[:, cand])
-            scores[cand] = float(np.dot(other_norms, base + delta))
+        # candidate scores, one column per level: exact integers
+        base = np.sum(np.abs(diag), axis=1, keepdims=True)        # (16, 1)
+        delta = np.abs(diag + f_row[:, None]) - np.abs(diag)     # (16, dim)
+        scores = other_norms @ (base + delta)
         tied = np.flatnonzero(scores == scores.max())
         best = int(tied[rng.integers(tied.size)])
         levels[x] = best
@@ -272,24 +283,26 @@ def _classical_swap_sweep(
 
     Exchanges preserve the level occupancy profile, which single-input
     moves cannot fix once the ascent has balanced itself into a local
-    optimum.  Only strictly improving exchanges are taken.
+    optimum.  The first strictly improving exchange in pair order is taken.
     """
     diag = _diag_o(levels, dim)
-    for x1 in range(16):
-        for x2 in range(x1 + 1, 16):
-            l1, l2 = levels[x1], levels[x2]
-            if l1 == l2:
-                continue
-            f1 = pauli.F_TABLE[x1, :]
-            f2 = pauli.F_TABLE[x2, :]
-            d1_new = diag[:, l1] + f2 - f1
-            d2_new = diag[:, l2] + f1 - f2
-            delta = (np.abs(d1_new) - np.abs(diag[:, l1])
-                     + np.abs(d2_new) - np.abs(diag[:, l2]))
-            if float(np.dot(other_norms, delta)) > 0:
-                diag[:, l1] = d1_new
-                diag[:, l2] = d2_new
-                levels[x1], levels[x2] = l2, l1
+    f = pauli.F_TABLE
+    first, second = np.triu_indices(16, 1)
+    while first.size:  # score every later pair at once, in exact integers
+        l1, l2 = levels[first], levels[second]
+        step = f[second] - f[first]                   # (pairs, 16)
+        d1_new = diag[:, l1].T + step
+        d2_new = diag[:, l2].T - step
+        delta = (np.abs(d1_new) - np.abs(diag[:, l1].T)
+                 + np.abs(d2_new) - np.abs(diag[:, l2].T))
+        gains = np.flatnonzero((l1 != l2) & (delta @ other_norms > 0))
+        if gains.size == 0:
+            break
+        j = gains[0]
+        diag[:, l1[j]] = d1_new[j]
+        diag[:, l2[j]] = d2_new[j]
+        levels[first[j]], levels[second[j]] = l2[j], l1[j]
+        first, second = first[j + 1:], second[j + 1:]
     return levels
 
 
@@ -361,79 +374,96 @@ def _classical_restart(
     return w_final, iters, converged, flagged, states_a, states_b, dec_a, dec_b
 
 
-def _seesaw_restart(
-    cfg: SeesawConfig, restart: int, signs: np.ndarray
-) -> tuple[float, int, bool, bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    rng = np.random.default_rng([cfg.seed, restart])
-    d = cfg.channel_dim
-    states_a = _random_pure_states(rng, d, 16)
-    states_b = _random_pure_states(rng, d, 16)
-    update = optimal_states_given_measurement
+def _seesaw_rows(cfg: SeesawConfig, signs: np.ndarray) -> tuple:
+    """All quantum restarts in lockstep as (R, 16, D, D) rows, each bit for
+    bit the restart run alone.  A row freezes, flagged, when a half-step
+    drops its witness by more than MONOTONE_SLACK (keeping the value before
+    the drop), or converged, when a cycle moves it by less than `tol`."""
+    rngs = [np.random.default_rng([cfg.seed, r]) for r in range(cfg.n_restarts)]
+    # one draw per restart: its 16 A states, then its 16 B states
+    start = np.stack([_random_pure_states(rng, cfg.channel_dim, 32) for rng in rngs])
+    s = SimpleNamespace(rows=np.arange(cfg.n_restarts), sa=start[:, :16], sb=start[:, 16:])
+    s.o_a, s.o_b = _f_sum(s.sa), _f_sum(s.sb)
+    s.dec_a, s.dec_b = optimal_measurement(s.sa, s.sb, signs)
+    s.c_a, s.c_b = _correlations(s.o_a, s.dec_a), _correlations(s.o_b, s.dec_b)
+    s.w = s.w_start = _witness(s.c_a, s.c_b, signs)
+    out = {k: np.copy(v) for k, v in vars(s).items()}
+    out.update(iters=np.full(cfg.n_restarts, cfg.max_iters),
+               converged=np.zeros(cfg.n_restarts, bool), flagged=np.zeros(cfg.n_restarts, bool))
 
-    dec_a, dec_b = optimal_measurement(states_a, states_b, signs)
-    w = _witness_product_decoders(states_a, states_b, dec_a, dec_b, signs)
-    converged = False
-    flagged = False
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        w_cycle_start = w
-        states_a = update(dec_a, dec_b, states_b, signs)
-        w_new = _witness_product_decoders(states_a, states_b, dec_a, dec_b, signs)
-        if w_new < w - MONOTONE_SLACK:
-            flagged = True
+    def settle(done, it, stop):
+        ids = s.rows[done]
+        for k, arr in vars(s).items():
+            out[k][ids] = arr[done]
+            setattr(s, k, arr[~done])
+        out["iters"][ids] = it
+        out[stop][ids] = True
+
+    def check(it):
+        w_new = _witness(s.c_a, s.c_b, signs)
+        drop = w_new < s.w - MONOTONE_SLACK
+        s.w = np.where(drop, s.w, w_new)
+        if drop.any():
+            settle(drop, it, "flagged")
+
+    update = optimal_states_given_measurement
+    for it in range(1, cfg.max_iters + 1):
+        if s.rows.size == 0:
             break
-        w = w_new
+        s.w_start = s.w
+        # O operators and correlations carry over; each check redoes one side
+        s.sa = update(s.dec_a, s.dec_b, s.sb, signs, other_correlations=s.c_b)
+        s.o_a = _f_sum(s.sa)
+        s.c_a = _correlations(s.o_a, s.dec_a)
+        check(it)
         # B-side effective operators use the A states and swapped decoders
-        states_b = update(dec_b, dec_a, states_a, signs)
-        w_new = _witness_product_decoders(states_a, states_b, dec_a, dec_b, signs)
-        if w_new < w - MONOTONE_SLACK:
-            flagged = True
-            break
-        w = w_new
-        dec_a, dec_b = optimal_measurement(states_a, states_b, signs)
-        w_new = _witness_product_decoders(states_a, states_b, dec_a, dec_b, signs)
-        if w_new < w - MONOTONE_SLACK:
-            flagged = True
-            break
-        w = w_new
-        if abs(w - w_cycle_start) < cfg.tol:
-            converged = True
-            break
-    return w, iters, converged, flagged, states_a, states_b, dec_a, dec_b
+        s.sb = update(s.dec_b, s.dec_a, s.sa, signs, other_correlations=s.c_a)
+        s.o_b = _f_sum(s.sb)
+        s.c_b = _correlations(s.o_b, s.dec_b)
+        check(it)
+        s.dec_a, s.dec_b = optimal_measurement(s.sa, s.sb, signs)
+        s.c_a, s.c_b = _correlations(s.o_a, s.dec_a), _correlations(s.o_b, s.dec_b)
+        check(it)
+        done = np.abs(s.w - s.w_start) < cfg.tol
+        if done.any():
+            settle(done, it, "converged")
+    for k, arr in vars(s).items():  # rows still running at the cycle cap
+        out[k][s.rows] = arr
+    return tuple(out[k] for k in ("w", "iters", "converged", "flagged", "sa", "sb", "dec_a", "dec_b"))
 
 
 def _run_seesaw(
     cfg: SeesawConfig, signs: np.ndarray | None, classical: bool
 ) -> OptimizationReport:
-    signs = np.asarray(signs if signs is not None else protocol.default_signs())
-    restart = _classical_restart if classical else _seesaw_restart
-    results = [restart(cfg, i, signs) for i in range(cfg.n_restarts)]
-    finals = [r[0] for r in results]
+    signs = np.asarray(signs if signs is not None else protocol.default_signs(), dtype=float)
+    rows = (zip(*[_classical_restart(cfg, i, signs) for i in range(cfg.n_restarts)])
+            if classical else _seesaw_rows(cfg, signs))
+    values, iters, converged, flagged, sa, sb, dec_a, dec_b = rows
+    finals = [float(v) for v in values]
     best_idx = int(np.argmax(finals))
-    best = results[best_idx]
     bound = float(sep_upper_bound(cfg.channel_dim, 1))
-    if best[0] > bound + SOUNDNESS_SLACK:
+    if finals[best_idx] > bound + SOUNDNESS_SLACK:
         raise AssertionError(
-            f"see-saw value {best[0]} exceeds the separable bound {bound}"
+            f"see-saw value {finals[best_idx]} exceeds the separable bound {bound}"
         )
     strategy = Strategy(
         kind="prepared_states",
         n_copies=1,
         channel_dim=cfg.channel_dim,
-        decoders_a=best[6],
-        decoders_b=best[7],
-        states_a=best[4],
-        states_b=best[5],
+        decoders_a=dec_a[best_idx],
+        decoders_b=dec_b[best_idx],
+        states_a=sa[best_idx],
+        states_b=sb[best_idx],
     )
     return OptimizationReport(
-        best_value=float(finals[best_idx]),
+        best_value=finals[best_idx],
         restart_values=finals,
         best_restart=best_idx,
-        converged=bool(best[2]),
+        converged=bool(converged[best_idx]),
         seed=cfg.seed,
         config=cfg.to_dict(),
-        iterations_used=[r[1] for r in results],
-        flagged_restarts=[i for i, r in enumerate(results) if r[3]],
+        iterations_used=[int(v) for v in iters],
+        flagged_restarts=[i for i, f in enumerate(flagged) if f],
         best_strategy=strategy,
     )
 

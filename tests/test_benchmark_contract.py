@@ -24,6 +24,7 @@ def _load(name):
 
 RUN = _load("run")
 WORKLOADS = _load("workloads")
+TRACER = _load("tracer")
 
 
 class _LookupTracer:
@@ -52,3 +53,20 @@ def test_workload_job_runs_and_passes(tmp_path, name):
     job = next(wl.jobs(WORKLOADS.job_rng(name, 0)))
     outcome = wl.check(job, wl.execute(job))
     assert outcome.ok, outcome.detail
+
+
+def test_seesaw_job_calls_the_traced_half_steps(tmp_path):
+    """The see-saw's per-layer rows time the public half-steps; a job that
+    bypassed them would report those rows as 0."""
+    wl = WORKLOADS.make("seesaw", tmp_path)
+    job = next(wl.jobs(WORKLOADS.job_rng("seesaw", 0)))
+    tracer = TRACER.Tracer()
+    RUN.install_tracer(tracer, WORKLOADS)
+    try:
+        outcome = wl.check(job, wl.execute(job))
+    finally:
+        tracer.unpatch()
+    assert outcome.ok, outcome.detail
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    assert calls.get("optimize.optimal_measurement", 0) >= 1
+    assert calls.get("optimize.optimal_states_given_measurement", 0) >= 1

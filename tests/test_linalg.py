@@ -64,6 +64,40 @@ def test_eigh_stack_matches_members():
         linalg.eigh(stack)
 
 
+def _argsort_eigh(stack):
+    """The stable-argsort reference for linalg.eigh's ordering."""
+    w, v = np.linalg.eigh(linalg.require_hermitian(stack))
+    order = np.argsort(-w, axis=-1, kind="stable")
+    return (np.take_along_axis(w, order, axis=-1),
+            np.take_along_axis(v, order[..., None, :], axis=-1))
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_eigh_order_is_bitwise_the_stable_argsort():
+    """Distinct spectra take the reversal; a stack with exact ties
+    (identity, diag(1,1,0,0), rank-1 projectors) keeps LAPACK's order of
+    tied eigenvalues.  Both equal the stable argsort bit for bit."""
+    rng = np.random.default_rng(13)
+    distinct = np.stack([_random_hermitian(rng, 4) for _ in range(5)])
+    vecs = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    tied = np.concatenate([
+        distinct[:2],
+        np.eye(4)[None],
+        np.diag([1.0, 1.0, 0.0, 0.0])[None],
+        np.einsum("ka,kb->kab", vecs, vecs.conj()),
+    ])
+    for stack in (distinct, tied):
+        spec = linalg.eigh(stack)
+        want_w, want_v = _argsort_eigh(stack)
+        assert _same_bits(spec.eigenvalues, want_w)
+        assert _same_bits(spec.eigenvectors, want_v)
+
+
 def test_eigh_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="not Hermitian"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bewitness import linalg, pauli, protocol, states
+from bewitness import linalg, optimize, pauli, protocol, states
 from bewitness.optimize import (
     AscentConfig,
     SeesawConfig,
@@ -122,6 +122,68 @@ def test_seesaw_quantum_sound_at_d5():
     rep = seesaw_quantum(SeesawConfig(channel_dim=5, n_restarts=2, max_iters=100))
     assert max(rep.restart_values) <= 5 / 16 + 1e-9
     assert rep.best_value >= 0.27
+
+
+def _reference_restart(cfg, restart, signs):
+    """One quantum restart run alone from the public half-steps: the
+    sequential loop that each lockstep row must reproduce bit for bit.
+    Returns (value, cycles, flagged, (states_a, states_b, dec_a, dec_b))."""
+    rng = np.random.default_rng([cfg.seed, restart])
+    sa = optimize._random_pure_states(rng, cfg.channel_dim, 16)
+    sb = optimize._random_pure_states(rng, cfg.channel_dim, 16)
+    da, db = optimal_measurement(sa, sb, signs)
+    w = _witness_product_decoders(sa, sb, da, db, signs)
+    for it in range(1, cfg.max_iters + 1):
+        w_start = w
+        for half in ("a", "b", "measurement"):
+            if half == "a":
+                sa = optimal_states_given_measurement(da, db, sb, signs)
+            elif half == "b":
+                sb = optimal_states_given_measurement(db, da, sa, signs)
+            else:
+                da, db = optimal_measurement(sa, sb, signs)
+            w_new = _witness_product_decoders(sa, sb, da, db, signs)
+            if w_new < w - optimize.MONOTONE_SLACK:
+                return w, it, True, (sa, sb, da, db)
+            w = w_new
+        if abs(w - w_start) < cfg.tol:
+            return w, it, False, (sa, sb, da, db)
+    return w, cfg.max_iters, False, (sa, sb, da, db)
+
+
+def _assert_rows_match_references(rep, cfg, signs):
+    refs = [_reference_restart(cfg, r, signs) for r in range(cfg.n_restarts)]
+    assert [v.hex() for v in rep.restart_values] == [r[0].hex() for r in refs]
+    assert rep.iterations_used == [r[1] for r in refs]
+    assert rep.flagged_restarts == [i for i, r in enumerate(refs) if r[2]]
+    s = rep.best_strategy
+    got = (s.states_a, s.states_b, s.decoders_a, s.decoders_b)
+    for a, b in zip(got, refs[rep.best_restart][3]):
+        assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("d,max_iters,seed,staggered", [
+    (4, 300, 0, True), (5, 60, 2, False), (16, 100, 1, True),
+])
+def test_lockstep_rows_match_single_restarts_bitwise(d, max_iters, seed, staggered):
+    cfg = SeesawConfig(channel_dim=d, n_restarts=6, max_iters=max_iters, seed=seed)
+    signs = protocol.default_signs()
+    rep = seesaw_quantum(cfg, signs)
+    _assert_rows_match_references(rep, cfg, signs)
+    # staggered: some rows converge and freeze while others run on
+    assert (min(rep.iterations_used) < max(rep.iterations_used)) == staggered
+
+
+def test_lockstep_flagged_rows_freeze_mid_cycle(monkeypatch):
+    # a negative slack flags every half-step that gains less than 1e-4,
+    # so rows stop at different cycles and half-steps
+    monkeypatch.setattr(optimize, "MONOTONE_SLACK", -1e-4)
+    cfg = SeesawConfig(channel_dim=4, n_restarts=6, max_iters=100, seed=0)
+    signs = protocol.default_signs()
+    rep = seesaw_quantum(cfg, signs)
+    _assert_rows_match_references(rep, cfg, signs)
+    flagged_at = {rep.iterations_used[i] for i in rep.flagged_restarts}
+    assert len(rep.flagged_restarts) >= 2 and len(flagged_at) >= 2
 
 
 def test_bell_product_eigenvalue_matrix_exactly_orthogonal():
