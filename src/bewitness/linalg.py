@@ -75,6 +75,11 @@ def eigh(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
     )
 
 
+def eigvalsh(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+    """The descending eigenvalues of `eigh`, with its check, and no vectors."""
+    return np.linalg.eigvalsh(require_hermitian(a, atol))[..., ::-1]
+
+
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values, sorted descending."""
     m = np.asarray(m, dtype=complex)

@@ -6,7 +6,9 @@ operators, measurements are sign-projector products), driving the
 witness monotonically upward; quantum restarts run in lockstep rows and
 sums over the +-1 table f(x, z) are real GEMMs.  The CCNR search does projected
 subgradient ascent of sum_k s_k lambda_k over Bloch-diagonal PPT states
-with an outer sign-refresh loop.
+in rounds at fixed signs s.  A round ends at max_iters steps or at the first
+certified step that leaves its iterate in place (s is then in the normal cone,
+so later steps would too); each restart row refreshes its signs on its own.
 
 The feasible set of the CCNR search is handled in coefficient space.
 The operators G_k (x) G_k pairwise commute (Pauli strings commute or
@@ -68,6 +70,9 @@ ASCENT_STEP0 = 0.1
 DYKSTRA_CAP = 500
 DYKSTRA_TOL = 1e-11
 SIGN_ZERO_TOL = 1e-10
+# a certified step moving a row by at most this (max-abs) ends its round:
+# on 240 d = 4 rows no later step of a stalled round moved it beyond 3.7e-15
+STALL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,7 @@ class OptimizationReport:
     best_strategy: Strategy | None = None
     best_lambdas: np.ndarray | None = None
     dykstra_steps: list[int] | None = None
+    rounds_used: list[int] | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -117,6 +123,8 @@ class OptimizationReport:
             out["best_lambdas"] = [float(v) for v in self.best_lambdas]
         if self.dykstra_steps is not None:
             out["dykstra_steps"] = list(self.dykstra_steps)
+        if self.rounds_used is not None:
+            out["rounds_used"] = list(self.rounds_used)
         return out
 
 
@@ -692,7 +700,8 @@ def _refresh_signs(lam: np.ndarray, prev: np.ndarray) -> np.ndarray:
 
 
 def _ascent_all(poly: _BlochPolytope, cfg: AscentConfig) -> dict:
-    """All restarts in lockstep rows; per-restart math is unchanged."""
+    """All restarts as rows of one loop, each on its own round schedule: a row
+    ends when its signs repeat or after max_outer rounds."""
     r_count = cfg.n_restarts
     k = poly.c.shape[0]
     lam = np.empty((r_count, k))
@@ -712,36 +721,41 @@ def _ascent_all(poly: _BlochPolytope, cfg: AscentConfig) -> dict:
     best_lam = lam.copy()
     signs = _refresh_signs(lam, np.ones_like(lam))
     active = np.ones(r_count, bool)
+    it = np.zeros(r_count, dtype=int)      # steps into the current round
     iters_used = np.zeros(r_count, dtype=int)
+    rounds_used = np.zeros(r_count, dtype=int)
     dykstra_steps = np.zeros(r_count, dtype=int)
 
-    for _ in range(cfg.max_outer):
-        for it in range(1, cfg.max_iters + 1):
-            step = ASCENT_STEP0 / np.sqrt(it)
-            g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
-            prop = np.where(active[:, None], lam + step * g, lam)
-            lam_new, conv, handed = poly.project_step_rows(
-                prop, lam, DYKSTRA_CAP, DYKSTRA_TOL, active
-            )
-            flagged |= active & ~conv
-            dykstra_steps += handed
-            me = poly.min_eig_rows(lam_new)
-            min_eig_seen = np.where(
-                active, np.minimum(min_eig_seen, me), min_eig_seen
-            )
-            cc = np.abs(lam_new).sum(axis=1)
-            better = active & (me >= PPT_ITERATE_TOL) & (cc > best_ccnr)
-            best_ccnr = np.where(better, cc, best_ccnr)
-            best_lam = np.where(better[:, None], lam_new, best_lam)
-            lam = np.where(active[:, None], lam_new, lam)
-        iters_used += np.where(active, cfg.max_iters, 0)
+    while active.any():
+        it += active
+        step = ASCENT_STEP0 / np.sqrt(it)
+        g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
+        prop = np.where(active[:, None], lam + step[:, None] * g, lam)
+        lam_new, conv, handed = poly.project_step_rows(prop, lam, DYKSTRA_CAP, DYKSTRA_TOL, active)
+        flagged |= active & ~conv
+        dykstra_steps += handed
+        iters_used += active
+        me = poly.min_eig_rows(lam_new)
+        min_eig_seen = np.where(active, np.minimum(min_eig_seen, me), min_eig_seen)
+        cc = np.abs(lam_new).sum(axis=1)
+        better = active & (me >= PPT_ITERATE_TOL) & (cc > best_ccnr)
+        best_ccnr = np.where(better, cc, best_ccnr)
+        best_lam = np.where(better[:, None], lam_new, best_lam)
+        # a certified step that returns its iterate puts g in the normal
+        # cone there, so every later (smaller) step of the round returns it
+        stalled = ~handed & (np.abs(lam_new - lam).max(axis=1) <= STALL_TOL)
+        lam = np.where(active[:, None], lam_new, lam)
+        ends = active & (stalled | (it >= cfg.max_iters))
+        if not ends.any():
+            continue
+        rounds_used += ends
         new_signs = _refresh_signs(best_lam, signs)
-        unchanged = np.all(new_signs == signs, axis=1)
-        active &= ~unchanged
-        if not active.any():
-            break
-        signs = np.where(active[:, None], new_signs, signs)
-        lam = np.where(active[:, None], best_lam, lam)
+        repeat = np.all(new_signs == signs, axis=1)
+        active &= ~(ends & (repeat | (rounds_used >= cfg.max_outer)))
+        renew = ends & active
+        it[renew] = 0
+        signs = np.where(renew[:, None], new_signs, signs)
+        lam = np.where(renew[:, None], best_lam, lam)
 
     # a restart with no feasible iterate reports its start and stays flagged
     never = ~np.isfinite(best_ccnr)
@@ -753,6 +767,7 @@ def _ascent_all(poly: _BlochPolytope, cfg: AscentConfig) -> dict:
         "flagged": flagged,
         "min_eig_seen": min_eig_seen,
         "iters_used": iters_used,
+        "rounds_used": rounds_used,
         "dykstra_steps": dykstra_steps,
     }
 
@@ -769,10 +784,11 @@ def ccnr_ascent_bloch_ppt(
     projection is the exact active-set solve wherever its KKT
     certificate holds; Dykstra's alternating scheme takes the steps it
     does not certify, every step at d = 16 and the pull-in of the random
-    starts.  The report counts, per restart, the steps handed to Dykstra.
-    Outer loop refreshes s from the best iterate's signs, except where a
-    coefficient is within SIGN_ZERO_TOL of zero.  Restarts run
-    as one vectorized batch, one restart per row.
+    starts.  A round ends after `max_iters` steps or once an exactly
+    projected step moves its row by at most STALL_TOL; the next round takes
+    s from the best iterate's signs, except within SIGN_ZERO_TOL of zero.
+    Each restart is a row of one batch with its own rounds; the report gives
+    its steps taken, rounds and steps handed to Dykstra.
     """
     if local_dim not in (4, 8, 16):
         raise ValueError(
@@ -796,6 +812,7 @@ def ccnr_ascent_bloch_ppt(
         iterations_used=[int(v) for v in out["iters_used"]],
         flagged_restarts=flagged,
         dykstra_steps=[int(v) for v in out["dykstra_steps"]],
+        rounds_used=[int(v) for v in out["rounds_used"]],
         min_eig_seen=float(np.min(out["min_eig_seen"])),
         best_lambdas=out["lambdas"][best_idx].copy(),
     )

@@ -106,7 +106,7 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if len(self.decoders_a) != 16 or len(self.decoders_b) != 16:
             raise ValueError("expected 16 per-copy decoder factors per side")
-        w = linalg.eigh(np.concatenate([self.decoders_a, self.decoders_b])).eigenvalues
+        w = linalg.eigvalsh(np.concatenate([self.decoders_a, self.decoders_b]))
         if w.max() > 1 + OBSERVABLE_EIG_SLACK or w.min() < -1 - OBSERVABLE_EIG_SLACK:
             raise ValueError("decoder factor eigenvalues leave [-1, 1]")
         if self.kind == "prepared_states":
@@ -115,7 +115,7 @@ class Strategy:
             if self.states_a is None or self.states_b is None:
                 raise ValueError("prepared_states strategy needs state tables")
             taus = np.concatenate([self.states_a, self.states_b])
-            w = linalg.eigh(taus).eigenvalues
+            w = linalg.eigvalsh(taus)
             traces = np.trace(taus, axis1=-2, axis2=-1).real
             if w.min() < states.PSD_EIG_TOL or np.max(np.abs(traces - 1)) > 1e-10:
                 raise ValueError("prepared state is not a density matrix")

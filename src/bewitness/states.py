@@ -224,11 +224,11 @@ def ccnr(obj) -> float:
 
 def ppt_report(op: np.ndarray, dim_a: int, dim_b: int) -> EntanglementReport:
     """Spectral + realignment diagnostics for a dense bipartite state, by
-    eigh and SVD: the independent oracle for `ppt_check`."""
+    eigvalsh and SVD: the independent oracle for `ppt_check`."""
     op = linalg.require_hermitian(op)
     return EntanglementReport.from_spectra(
-        linalg.eigh(op).eigenvalues,
-        linalg.eigh(linalg.partial_transpose(op, dim_a, dim_b)).eigenvalues,
+        linalg.eigvalsh(op),
+        linalg.eigvalsh(linalg.partial_transpose(op, dim_a, dim_b)),
         linalg.trace_norm(realignment_computational(op, dim_a, dim_b)),
     )
 

@@ -212,6 +212,7 @@ def check_ccnr_ascent() -> CheckResult:
         base = ASCENT_CHECK_CONFIGS[d]
         target = ASCENT_TARGETS[d]
         reached = None
+        t_d = time.perf_counter()
         for attempt in range(ASCENT_MAX_TRIES):
             cfg = replace(base, seed=base.seed + attempt * ASCENT_RETRY_SEED_STEP)
             rep = ccnr_ascent_bloch_ppt(d, cfg)
@@ -220,12 +221,14 @@ def check_ccnr_ascent() -> CheckResult:
             if rep.best_value >= target and feas >= -1e-8:
                 reached = (rep.best_value, attempt + 1, feas)
                 break
+        cost = f"{sum(rep.iterations_used)} steps, {time.perf_counter() - t_d:.1f} s"
         if reached is None:
             ok = False
-            details.append(f"D={d}: {rep.best_value:.4f} < {target} after {ASCENT_MAX_TRIES} tries")
+            details.append(f"D={d}: {rep.best_value:.4f} < {target} after "
+                           f"{ASCENT_MAX_TRIES} tries ({cost})")
         else:
             val, tries, feas = reached
-            details.append(f"D={d}: {val:.6f} (try {tries}, min eig {feas:.1e})")
+            details.append(f"D={d}: {val:.6f} (try {tries}, min eig {feas:.1e}, {cost})")
     return _finish("10-ccnr-ascent", 600.0, t0, ok, "; ".join(details))
 
 

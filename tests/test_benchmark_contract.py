@@ -70,3 +70,20 @@ def test_seesaw_job_calls_the_traced_half_steps(tmp_path):
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
     assert calls.get("optimize.optimal_measurement", 0) >= 1
     assert calls.get("optimize.optimal_states_given_measurement", 0) >= 1
+
+
+def test_ccnr_ascent_job_keeps_its_sweeps_and_skips_stalled_steps(tmp_path):
+    """The benchmark predicts Dykstra sweeps > 0 on `ccnr-ascent` (the
+    pull-in of the random starts), and rounds that stall end early: the
+    first job takes fewer steps than its 8 full rounds of 250."""
+    wl = WORKLOADS.make("ccnr-ascent", tmp_path)
+    job = next(wl.jobs(WORKLOADS.job_rng("ccnr-ascent", 0)))
+    tracer = TRACER.Tracer()
+    RUN.install_tracer(tracer, WORKLOADS)
+    try:
+        outcome = wl.check(job, wl.execute(job))
+    finally:
+        tracer.unpatch()
+    assert outcome.ok, outcome.detail
+    assert tracer.counts.get("optimize.dykstra.sweeps", 0) > 0
+    assert outcome.counts["ascent_iterations"] < 2000

@@ -106,6 +106,33 @@ def test_eigh_rejects_non_hermitian():
         linalg.require_hermitian(np.zeros((2, 3)))
 
 
+def test_eigvalsh_matches_eigh_and_rejects_non_hermitian():
+    """Mixed stacks: distinct spectra, exact ties, rank-1 projectors and
+    (32, 16, 16) blocks give eigh's descending eigenvalues to 1e-12."""
+    rng = np.random.default_rng(14)
+    vecs = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    stacks = [
+        _random_hermitian(rng, 5),
+        np.concatenate([np.stack([_random_hermitian(rng, 4) for _ in range(3)]),
+                        np.eye(4)[None], np.diag([1.0, 1.0, 0.0, 0.0])[None],
+                        np.einsum("ka,kb->kab", vecs, vecs.conj())]),
+        np.stack([_random_hermitian(rng, 16) for _ in range(32)]).reshape(2, 16, 16, 16),
+    ]
+    for stack in stacks:
+        got = linalg.eigvalsh(stack)
+        want = linalg.eigh(stack).eigenvalues
+        assert got.shape == want.shape
+        assert np.all(np.diff(got, axis=-1) <= 0)
+        assert np.max(np.abs(got - want)) < 1e-12
+    bad = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    for fn in (linalg.eigh, linalg.eigvalsh):
+        with pytest.raises(ValueError) as err:
+            fn(bad)
+        assert str(err.value) == (
+            "matrix is not Hermitian: max|A - A^dagger| = 1.000e+00 > 1.0e-12")
+
+
 def test_require_hermitian_symmetrises_within_tolerance():
     h = np.array([[1.0, 0.5 + 1e-14j], [0.5 - 2e-14j, 2.0]])
     out = linalg.require_hermitian(h)
