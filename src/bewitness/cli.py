@@ -1,9 +1,13 @@
 """Batch command line front end.
 
-Emits JSON or CSV to stdout (and to --out when given).  Every command
-is deterministic for a fixed flag set: reruns produce byte-identical
-primary output.  Exit codes: 0 success, 1 verification or assertion
-failure, 2 usage error.
+Each command returns its result and prints nothing; `main` alone writes
+output and picks the exit code.  On success it prints JSON or CSV to
+stdout, and the same bytes to --out when given; `verify` prints one text
+line per check whatever --format says, and does not echo --seed.  Every
+refusal, an unwritable --out included, is one stderr line
+"<command>: <message>" with exit 2 and nothing on stdout.  A failed check
+or runtime assertion exits 1.  Reruns with the same flags produce
+byte-identical primary output.
 """
 
 from __future__ import annotations
@@ -19,55 +23,32 @@ import numpy as np
 from . import protocol, states, verify
 from .optimize import AscentConfig, SeesawConfig, ccnr_ascent_bloch_ppt, seesaw_classical, seesaw_quantum
 
+# what a command other than `verify` returns: the JSON payload, the CSV
+# header and the CSV rows
+Table = tuple[dict, list[str], list[list]]
+
 
 def _sig12(v: float) -> float:
     """Round to 12 significant digits for table emission."""
     return float(f"{float(v):.12g}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
-
-
-def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), out_path)
-
-
 def _load_state_arg(source: str) -> states.BlochDiagonalState:
-    if source == "rho_be":
-        return states.rho_be()
-    return states.load_state(source)
-
-
-def cmd_state_info(args) -> int:
     try:
-        state = _load_state_arg(args.state)
+        return states.rho_be() if source == "rho_be" else states.load_state(source)
     except (OSError, ValueError, KeyError, states.ConventionError) as exc:
-        print(f"state-info: cannot load state: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = states.ppt_check(state)
-        if report.min_eig_state < states.PSD_EIG_TOL:
-            raise ValueError(
-                "not a state: minimum eigenvalue "
-                f"{report.min_eig_state:.6g} < {states.PSD_EIG_TOL:g}"
-            )
-        closed = protocol.witness_closed_form(state, protocol.matched_task(state))
-    except ValueError as exc:
-        print(f"state-info: {exc}", file=sys.stderr)
-        return 2
-    ccnr_val = report.ccnr
+        raise ValueError(f"cannot load state: {exc}") from exc
+
+
+def cmd_state_info(args) -> Table:
+    state = _load_state_arg(args.state)
+    report = states.ppt_check(state)
+    if report.min_eig_state < states.PSD_EIG_TOL:
+        raise ValueError(
+            "not a state: minimum eigenvalue "
+            f"{report.min_eig_state:.6g} < {states.PSD_EIG_TOL:g}"
+        )
+    closed = protocol.witness_closed_form(state, protocol.matched_task(state))
     payload = {
         "seed": args.seed,
         "state": states.state_to_dict(state),
@@ -75,59 +56,46 @@ def cmd_state_info(args) -> int:
         "witness_closed_form": closed.value,
         "separability_note": (
             "CCNR <= 1: consistent with separability"
-            if ccnr_val <= 1 + 1e-9
+            if report.ccnr <= 1 + 1e-9
             else "CCNR > 1: certifies entanglement"
         ),
     }
-    if args.format == "csv":
-        header = ["seed", "n_copies", "ccnr", "is_ppt", "min_eig_state",
-                  "min_eig_pt", "witness_closed_form"]
-        row = [args.seed, state.n_copies, repr(ccnr_val), report.is_ppt,
-               repr(report.min_eig_state), repr(report.min_eig_pt),
-               repr(closed.value)]
-        _emit_csv(header, [row], args.out)
-    else:
-        _emit_json(payload, args.out)
-    return 0
+    header = ["seed", "n_copies", "ccnr", "is_ppt", "min_eig_state",
+              "min_eig_pt", "witness_closed_form"]
+    row = [args.seed, state.n_copies, repr(report.ccnr), report.is_ppt,
+           repr(report.min_eig_state), repr(report.min_eig_pt),
+           repr(closed.value)]
+    return payload, header, [row]
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> Table:
     per_copy = states.rho_be()
     classical = args.strategy == "classical-d4"
     if classical and args.n_copies != 1:
-        print("witness: classical-d4 is a one-copy strategy", file=sys.stderr)
-        return 2
+        raise ValueError("classical-d4 is a one-copy strategy")
     if classical and args.method != "brute":
-        print(f"witness: method {args.method} needs the entangled strategy", file=sys.stderr)
-        return 2
+        raise ValueError(f"method {args.method} needs the entangled strategy")
 
-    try:
-        task = protocol.TaskSpec(
-            n_copies=args.n_copies,
-            channel_dim=4**args.n_copies,
-            signs=per_copy.sign_pattern(),
+    task = protocol.TaskSpec(n_copies=args.n_copies, channel_dim=4**args.n_copies,
+                             signs=per_copy.sign_pattern())
+    if args.method == "closed":
+        # the closed form takes the per-copy state for any copy count
+        result = protocol.witness_closed_form(per_copy, task)
+    elif args.method == "brute":
+        strat = (
+            protocol.classical_optimal_strategy_d4()
+            if classical
+            else protocol.be_strategy(states.tensor_power(per_copy, args.n_copies))
         )
-        if args.method == "closed":
-            # the closed form takes the per-copy state for any copy count
-            result = protocol.witness_closed_form(per_copy, task)
-        elif args.method == "brute":
-            strat = (
-                protocol.classical_optimal_strategy_d4()
-                if classical
-                else protocol.be_strategy(states.tensor_power(per_copy, args.n_copies))
-            )
-            samples = None
-            if args.n_copies == 2:
-                samples = protocol.sample_triples(2, args.samples, seed=args.seed)
-            result = protocol.witness_brute_force(strat, task, samples=samples)
-        else:
-            samples = protocol.sample_triples(args.n_copies, args.samples, seed=args.seed)
-            ev = protocol.witness_factored(per_copy, task, samples)
-            value = float(np.mean(task.weights(samples) * ev))
-            result = protocol.WitnessResult(value, "factored", task)
-    except ValueError as exc:
-        print(f"witness: {exc}", file=sys.stderr)
-        return 2
+        samples = None
+        if args.n_copies == 2:
+            samples = protocol.sample_triples(2, args.samples, seed=args.seed)
+        result = protocol.witness_brute_force(strat, task, samples=samples)
+    else:
+        samples = protocol.sample_triples(args.n_copies, args.samples, seed=args.seed)
+        ev = protocol.witness_factored(per_copy, task, samples)
+        value = float(np.mean(task.weights(samples) * ev))
+        result = protocol.WitnessResult(value, "factored", task)
 
     payload = {
         "seed": args.seed,
@@ -137,19 +105,14 @@ def cmd_witness(args) -> int:
         "value": result.value,
         "task": result.task.to_dict(),
     }
-    if args.format == "csv":
-        header = ["seed", "strategy", "method", "n_copies", "value"]
-        row = [args.seed, args.strategy, result.method, task.n_copies, repr(result.value)]
-        _emit_csv(header, [row], args.out)
-    else:
-        _emit_json(payload, args.out)
-    return 0
+    header = ["seed", "strategy", "method", "n_copies", "value"]
+    row = [args.seed, args.strategy, result.method, task.n_copies, repr(result.value)]
+    return payload, header, [row]
 
 
-def cmd_scaling(args) -> int:
+def cmd_scaling(args) -> Table:
     if args.n_max < 1:
-        print("scaling: --n-max must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--n-max must be at least 1")
     rows = []
     rho = states.rho_be()
     per_copy_w = protocol.witness_closed_form(rho, protocol.matched_task(rho)).value
@@ -167,97 +130,77 @@ def cmd_scaling(args) -> int:
                 "v_crit_exact": f"{v_crit.numerator}/{v_crit.denominator}",
             }
         )
-    if args.format == "csv":
-        header = ["seed", "n_copies", "witness_be", "sep_bound", "overhead_dim", "v_crit"]
-        csv_rows = [
-            [args.seed, r["n_copies"], f"{r['witness_be']:.12g}",
-             f"{r['sep_bound']:.12g}", r["overhead_dim"], f"{r['v_crit']:.12g}"]
-            for r in rows
-        ]
-        _emit_csv(header, csv_rows, args.out)
-    else:
-        _emit_json({"seed": args.seed, "rows": rows}, args.out)
-    return 0
+    header = ["seed", "n_copies", "witness_be", "sep_bound", "overhead_dim", "v_crit"]
+    csv_rows = [
+        [args.seed, r["n_copies"], f"{r['witness_be']:.12g}",
+         f"{r['sep_bound']:.12g}", r["overhead_dim"], f"{r['v_crit']:.12g}"]
+        for r in rows
+    ]
+    return {"seed": args.seed, "rows": rows}, header, csv_rows
 
 
-def cmd_seesaw(args) -> int:
+def _search_table(args, labels: dict, report) -> Table:
+    """A search's summary and full report, and its one-row table."""
+    summary = {**labels, "best_value": report.best_value, "seed": args.seed}
+    header = ["seed", *labels, "best_value", "converged"]
+    row = [args.seed, *labels.values(), repr(report.best_value), report.converged]
+    return {"seed": args.seed, "summary": summary, "report": report.to_dict()}, header, [row]
+
+
+def cmd_seesaw(args) -> Table:
     runner = seesaw_classical if args.kind == "classical" else seesaw_quantum
-    try:
-        cfg = SeesawConfig(
-            channel_dim=args.channel_dim,
-            n_restarts=args.restarts,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            seed=args.seed,
-        )
-        report = runner(cfg)
-    except ValueError as exc:
-        print(f"seesaw: {exc}", file=sys.stderr)
-        return 2
-    summary = {
-        "kind": args.kind,
-        "channel_dim": args.channel_dim,
-        "best_value": report.best_value,
-        "seed": args.seed,
-    }
-    if args.format == "csv":
-        header = ["seed", "kind", "channel_dim", "best_value", "converged"]
-        row = [args.seed, args.kind, args.channel_dim, repr(report.best_value), report.converged]
-        _emit_csv(header, [row], args.out)
-    else:
-        _emit_json({"seed": args.seed, "summary": summary, "report": report.to_dict()}, args.out)
-    return 0
+    cfg = SeesawConfig(
+        channel_dim=args.channel_dim,
+        n_restarts=args.restarts,
+        max_iters=args.max_iters,
+        tol=args.tol,
+        seed=args.seed,
+    )
+    return _search_table(args, {"kind": args.kind, "channel_dim": args.channel_dim}, runner(cfg))
 
 
-def cmd_ccnr_search(args) -> int:
-    if args.local_dim not in (4, 8, 16):
-        print(
-            "ccnr-search: the Bloch basis is built from Pauli strings, so the "
-            f"local dimension must be a power of two in {{4, 8, 16}}; got {args.local_dim}. "
-            "Other dimensions would need a different operator basis, which this "
-            "tool does not construct.",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        cfg = AscentConfig(
-            n_restarts=args.restarts,
-            max_iters=args.max_iters,
-            seed=args.seed,
-        )
-        report = ccnr_ascent_bloch_ppt(args.local_dim, cfg)
-    except ValueError as exc:
-        print(f"ccnr-search: {exc}", file=sys.stderr)
-        return 2
-    summary = {
-        "local_dim": args.local_dim,
-        "best_value": report.best_value,
-        "seed": args.seed,
-    }
-    if args.format == "csv":
-        header = ["seed", "local_dim", "best_value", "converged"]
-        row = [args.seed, args.local_dim, repr(report.best_value), report.converged]
-        _emit_csv(header, [row], args.out)
-    else:
-        _emit_json({"seed": args.seed, "summary": summary, "report": report.to_dict()}, args.out)
-    return 0
+def cmd_ccnr_search(args) -> Table:
+    cfg = AscentConfig(
+        n_restarts=args.restarts,
+        max_iters=args.max_iters,
+        seed=args.seed,
+    )
+    report = ccnr_ascent_bloch_ppt(args.local_dim, cfg)
+    return _search_table(args, {"local_dim": args.local_dim}, report)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> list[verify.CheckResult]:
     state = None
     if args.state is not None:
-        try:
-            state = _load_state_arg(args.state)
-            if state.n_copies != 1:
-                raise ValueError(f"--state takes a one-copy state, got {state.n_copies} copies")
-        except (OSError, ValueError, KeyError, states.ConventionError) as exc:
-            print(f"verify: cannot load state: {exc}", file=sys.stderr)
-            return 2
-    results = verify.run_all(state)
-    lines = [r.line() for r in results]
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0 if all(r.passed for r in results) else 1
+        state = _load_state_arg(args.state)
+        if state.n_copies != 1:
+            raise ValueError(
+                f"cannot load state: --state takes a one-copy state, got {state.n_copies} copies"
+            )
+    return verify.run_all(state)
+
+
+def _render(result: Table | list[verify.CheckResult], fmt: str) -> tuple[str, int]:
+    """The primary output of a command's result, and the exit code."""
+    if isinstance(result, list):
+        text = "".join(r.line() + "\n" for r in result)
+        return text, 0 if all(r.passed for r in result) else 1
+    payload, header, rows = result
+    if fmt == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue(), 0
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,14 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--out", default=None, help="also write primary output to this file")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
     p = sub.add_parser("state-info", help="diagnostics for a Bloch-diagonal state")
     p.add_argument("--state", default="rho_be", help='builtin "rho_be" or a JSON file path')
-    common(p)
     p.set_defaults(fn=cmd_state_info)
 
     p = sub.add_parser("witness", help="evaluate the task witness")
@@ -283,12 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("brute", "factored", "closed"), default="brute")
     p.add_argument("--samples", type=int, default=10_000,
                    help="triple count for sampled methods")
-    common(p)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("scaling", help="copy-scaling table")
     p.add_argument("--n-max", type=int, default=6)
-    common(p)
     p.set_defaults(fn=cmd_scaling)
 
     p = sub.add_parser("seesaw", help="see-saw search over separable strategies")
@@ -297,33 +232,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-9)
-    common(p)
     p.set_defaults(fn=cmd_seesaw)
 
     p = sub.add_parser("ccnr-search", help="CCNR ascent over PPT Bloch-diagonal states")
     p.add_argument("--local-dim", type=int, required=True)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-iters", type=int, default=2000)
-    common(p)
     p.set_defaults(fn=cmd_ccnr_search)
 
     p = sub.add_parser("verify", help="run the acceptance checklist")
     p.add_argument("--state", default=None,
                    help="verify this state file instead of the full checklist")
-    common(p)
     p.set_defaults(fn=cmd_verify)
 
+    for p in sub.choices.values():     # listed after each command's own flags
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--out", default=None, help="also write primary output to this file")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: the only place that prints and maps failures to exit codes."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        text, code = _render(args.fn(args), args.format)
+        if args.out:
+            _write_out(args.out, text)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     except AssertionError as exc:
         print(f"{args.command}: runtime assertion failed: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -792,8 +792,10 @@ def ccnr_ascent_bloch_ppt(
     """
     if local_dim not in (4, 8, 16):
         raise ValueError(
-            "CCNR search needs a Pauli-string product basis; "
-            "local dimension must be one of 4, 8, 16"
+            "the Bloch basis is built from Pauli strings, so the local dimension "
+            f"must be a power of two in {{4, 8, 16}}; got {local_dim}. Other "
+            "dimensions would need a different operator basis, which this tool "
+            "does not construct."
         )
     cfg = cfg or AscentConfig()
     poly = _BlochPolytope(local_dim)

@@ -119,16 +119,36 @@ def check_witness_brute_force() -> CheckResult:
     return _finish("03-witness-brute", 10.0, t0, ok, detail)
 
 
+def integer_witness(strategy: protocol.Strategy, task: protocol.TaskSpec) -> Fraction:
+    """Exact one-copy witness of a prepared strategy with integer tables.
+
+    With 0/1 diagonal messages and +-1 diagonal decoders, as in the
+    classical D=4 optimum, a_xz = tr(tau_x M_z) on Alice's side and b_yz
+    on Bob's are integers, and the witness (1/16^3) sum over x, y, z of
+    s_z f(x,z) f(y,z) a_xz b_yz is an integer sum.  Both tables must be
+    exactly integral, or the strategy is refused.
+    """
+    t = np.einsum("sxij,szji->sxz", np.stack([strategy.states_a, strategy.states_b]),
+                  np.stack([strategy.decoders_a, strategy.decoders_b]))
+    if np.any(t.imag) or not np.array_equal(t.real, np.trunc(t.real)):
+        raise ValueError("the correlator tables tr(tau_x M_z) are not integral")
+    fa, fb = pauli.F_TABLE * t.real.astype(np.int64)
+    signs = np.asarray(task.signs).astype(np.int64)
+    return Fraction(int(np.einsum("z,xz,yz->", signs, fa, fb)), 16**3)
+
+
 def check_separable_saturation() -> CheckResult:
-    """The best deterministic encoding at D=4 saturates the bound 1/4."""
+    """The best deterministic encoding at D=4 saturates the bound 1/4,
+    within 1e-12 and exactly by `integer_witness`."""
     t0 = time.perf_counter()
     strat = protocol.classical_optimal_strategy_d4()
     task = protocol.TaskSpec(
         n_copies=1, channel_dim=4, signs=protocol.default_signs()
     )
     value = protocol.witness_brute_force(strat, task).value
-    ok = abs(value - 0.25) < 1e-12
-    return _finish("04-separable-saturation", 10.0, t0, ok, f"W={value:.15f}")
+    exact = integer_witness(strat, task)
+    ok = abs(value - 0.25) < 1e-12 and exact == Fraction(1, 4)
+    return _finish("04-separable-saturation", 10.0, t0, ok, f"W={value:.15f}; exact {exact}")
 
 
 def check_m_matrix() -> CheckResult:
@@ -302,15 +322,9 @@ ALL_CHECKS = (
 def run_all(state: states.BlochDiagonalState | None = None):
     """Run every check; a supplied state replaces the builtin in the
     state-specific checks (spectrum, CCNR, convention)."""
-    results = []
     if state is not None:
-        results.append(check_convention(state))
-        results.append(check_spectrum(state))
-        results.append(check_ccnr_value(state))
-        return results
-    for fn in ALL_CHECKS:
-        results.append(fn())
-    return results
+        return [check_convention(state), check_spectrum(state), check_ccnr_value(state)]
+    return [fn() for fn in ALL_CHECKS]
 
 
 def check_convention(state: states.BlochDiagonalState) -> CheckResult:

@@ -55,6 +55,17 @@ def test_workload_job_runs_and_passes(tmp_path, name):
     assert outcome.ok, outcome.detail
 
 
+@pytest.mark.parametrize("kind", sorted(set(WORKLOADS.CliMix.DECK)))
+def test_every_cli_mix_kind_runs_and_passes(tmp_path, kind):
+    """One job of each deck kind, drawn from the workload's own job stream,
+    so that the output `cli-mix` parses (the `verify` text lines, the
+    `state-info` JSON) is pinned here and not only by the benchmark."""
+    wl = WORKLOADS.make("cli-mix", tmp_path)
+    job = next(j for j in wl.jobs(WORKLOADS.job_rng("cli-mix", 0)) if j.kind == kind)
+    outcome = wl.check(job, wl.execute(job))
+    assert outcome.ok, outcome.detail
+
+
 def test_seesaw_job_calls_the_traced_half_steps(tmp_path):
     """The see-saw's per-layer rows time the public half-steps; a job that
     bypassed them would report those rows as 0."""

@@ -46,10 +46,86 @@ def test_scaling_rejects_bad_range(capsys):
     assert main(["scaling", "--n-max", "0"]) == 2
 
 
+# one small successful command line per command
+SMALL_RUNS = (
+    ["state-info"],
+    ["witness", "--n-copies", "2", "--method", "closed"],
+    ["scaling", "--n-max", "3"],
+    ["seesaw", "--kind", "classical", "--channel-dim", "4",
+     "--restarts", "2", "--max-iters", "50"],
+    ["ccnr-search", "--local-dim", "4", "--restarts", "1", "--max-iters", "50"],
+    ["verify", "--state", "rho_be"],
+)
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
-    out = tmp_path / "table.csv"
-    main(["scaling", "--n-max", "3", "--format", "csv", "--out", str(out)])
-    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+    for argv in SMALL_RUNS:
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"{argv[0]}.{fmt}"
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+            assert out.read_bytes() == capsys.readouterr().out.encode(), (argv, fmt)
+
+
+def _state_file(tmp_path, convention="k=4i+j+1", n_copies=1, entry=None):
+    """A copy of the target state's power, with one (index, value) entry set."""
+    data = states.state_to_dict(states.tensor_power(states.rho_be(), n_copies))
+    data["convention"] = convention
+    if entry:
+        data["lambdas"][entry[0]] = entry[1]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+# each builds, in a temporary directory, a command line that main refuses
+REFUSALS = {
+    "scaling-n-max-0": lambda tmp: ["scaling", "--n-max", "0"],
+    "state-info-missing-file": lambda tmp: ["state-info", "--state", str(tmp / "missing.json")],
+    "state-info-wrong-tag": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, convention="k=4j+i+1")],
+    "state-info-non-finite": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, entry=(3, float("nan")))],
+    "state-info-not-psd": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, entry=(3, 5.0))],
+    "witness-classical-two-copies": lambda tmp: [
+        "witness", "--strategy", "classical-d4", "--n-copies", "2"],
+    "witness-classical-closed": lambda tmp: [
+        "witness", "--strategy", "classical-d4", "--method", "closed"],
+    "witness-brute-three-copies": lambda tmp: ["witness", "--n-copies", "3", "--method", "brute"],
+    "witness-zero-samples": lambda tmp: ["witness", "--n-copies", "2", "--samples", "0"],
+    "seesaw-channel-dim-17": lambda tmp: ["seesaw", "--kind", "classical", "--channel-dim", "17"],
+    "ccnr-search-local-dim-5": lambda tmp: ["ccnr-search", "--local-dim", "5"],
+    "ccnr-search-zero-restarts": lambda tmp: [
+        "ccnr-search", "--local-dim", "4", "--restarts", "0"],
+    "verify-wrong-tag": lambda tmp: ["verify", "--state", _state_file(tmp, convention="k=4j+i+1")],
+    "verify-two-copies": lambda tmp: ["verify", "--state", _state_file(tmp, n_copies=2)],
+    "scaling-unwritable-out": lambda tmp: [
+        "scaling", "--n-max", "1", "--out", str(tmp / "no-dir" / "x.json")],
+    "verify-unwritable-out": lambda tmp: [
+        "verify", "--state", "rho_be", "--out", str(tmp / "no-dir" / "x.txt")],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", REFUSALS)
+def test_every_refusal_is_one_stderr_line(tmp_path, capsys, case, fmt):
+    argv = REFUSALS[case](tmp_path)
+    assert main(argv + ["--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: "), captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["scaling", "--n-max", "1"], ["verify", "--state", "rho_be"]])
+def test_unwritable_out_refuses_before_printing(tmp_path, capsys, argv):
+    path = tmp_path / "no-dir" / "x.out"
+    assert main(argv + ["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{argv[0]}: cannot write --out {path}: No such file or directory\n"
+    assert not path.parent.exists()
 
 
 def test_witness_be_brute(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bewitness import pauli, protocol, states
+from bewitness import pauli, protocol, states, verify
 from bewitness.optimize import optimal_measurement
 
 
@@ -304,6 +304,25 @@ def test_classical_optimal_strategy_saturates():
     task = protocol.TaskSpec(n_copies=1, channel_dim=4, signs=protocol.default_signs())
     value = protocol.witness_brute_force(strat, task).value
     assert abs(value - 0.25) < 1e-12
+
+
+def test_integer_witness_certifies_the_classical_optimum():
+    strat = protocol.classical_optimal_strategy_d4()
+    task = protocol.TaskSpec(n_copies=1, channel_dim=4, signs=protocol.default_signs())
+    assert verify.integer_witness(strat, task) == Fraction(1, 4)
+
+
+def test_integer_witness_refuses_non_integral_tables():
+    rng = np.random.default_rng(5)
+    task = protocol.TaskSpec(n_copies=1, channel_dim=4, signs=protocol.default_signs())
+    g = rng.normal(size=(2, 16, 4)) + 1j * rng.normal(size=(2, 16, 4))
+    v = g / np.linalg.norm(g, axis=2, keepdims=True)
+    sa, sb = (np.einsum("xi,xj->xij", side, side.conj()) for side in v)
+    dec_a, dec_b = optimal_measurement(sa, sb, task.signs)
+    strat = protocol.Strategy(kind="prepared_states", n_copies=1, channel_dim=4,
+                              decoders_a=dec_a, decoders_b=dec_b, states_a=sa, states_b=sb)
+    with pytest.raises(ValueError, match="not integral"):
+        verify.integer_witness(strat, task)
 
 
 def test_prepared_strategies_single_copy_only():
