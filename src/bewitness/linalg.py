@@ -31,12 +31,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(a).swapaxes(-1, -2)
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest absolute entry of A - A^dagger over a matrix or a stack."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
-
-
 def require_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     """Return the symmetrised matrix (A + A^dagger)/2, or stack of them.
 

@@ -29,6 +29,7 @@ exact step's linear systems cost more than the sweeps they save.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
@@ -54,10 +55,12 @@ class SeesawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.n_restarts < 1 or self.max_iters < 1:
-            raise ValueError("tol must be positive, restarts and iters >= 1")
+        if not 0 < self.tol < math.inf or self.n_restarts < 1 or self.max_iters < 1:
+            raise ValueError("tol must be positive and finite, restarts and iters >= 1")
         if not 2 <= self.channel_dim <= 16:
             raise ValueError("channel_dim must lie in 2..16")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -85,6 +88,8 @@ class AscentConfig:
     def __post_init__(self):
         if min(self.n_restarts, self.max_iters, self.max_outer) < 1:
             raise ValueError("restart, iteration and outer-round counts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -546,26 +551,14 @@ class _BlochPolytope:
         return np.minimum(plain, swapped)
 
     def dykstra_rows(
-        self,
-        lam: np.ndarray,
-        cap: int,
-        tol: float,
-        active: np.ndarray | None = None,
+        self, lam: np.ndarray, cap: int, tol: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Dykstra on every row at once; rows freeze as they converge.
-
-        Rows outside `active` are passed through untouched and count as
-        converged.  Returns (points, converged mask).
-        """
+        Returns (points, converged mask)."""
         out = lam.copy()
-        rows = (
-            np.arange(lam.shape[0])
-            if active is None
-            else np.flatnonzero(active)
-        )
-        converged = np.ones(lam.shape[0], bool)
-        converged[rows] = False
-        x = out[rows]
+        rows = np.arange(lam.shape[0])
+        converged = np.zeros(lam.shape[0], bool)
+        x = lam
         p1 = np.zeros_like(x)
         p2 = np.zeros_like(x)
         p3 = np.zeros_like(x)
@@ -681,8 +674,9 @@ class _BlochPolytope:
             out[rows[ok]] = points[ok]
             handed[rows[ok]] = False
         converged = np.ones(lam.shape[0], bool)
-        if handed.any():
-            out, converged = self.dykstra_rows(out, cap, tol, handed)
+        rows = np.flatnonzero(handed)
+        if rows.size:
+            out[rows], converged[rows] = self.dykstra_rows(out[rows], cap, tol)
         return out, converged, handed
 
 
@@ -699,9 +693,36 @@ def _refresh_signs(lam: np.ndarray, prev: np.ndarray) -> np.ndarray:
     return np.where(keep, prev, np.where(lam < 0, -1.0, 1.0))
 
 
-def _ascent_all(poly: _BlochPolytope, cfg: AscentConfig) -> dict:
-    """All restarts as rows of one loop, each on its own round schedule: a row
-    ends when its signs repeat or after max_outer rounds."""
+def ccnr_ascent_bloch_ppt(
+    local_dim: int, cfg: AscentConfig | None = None
+) -> OptimizationReport:
+    """Maximise sum |lambda_k| over Bloch-diagonal PPT states.
+
+    Supported local dimensions are 4, 8 and 16, where the basis is a
+    product of Pauli strings.  Inner loop: projected subgradient ascent
+    of sum_k s_k lambda_k at fixed signs, each step projected onto
+    {rho >= 0} cap {rho^T_B >= 0} cap {unit trace}.  At d = 4 and 8 the
+    projection is the exact active-set solve wherever its KKT
+    certificate holds; Dykstra's alternating scheme takes the steps it
+    does not certify, every step at d = 16 and the pull-in of the random
+    starts.  A round ends after `max_iters` steps or once an exactly
+    projected step moves its row by at most STALL_TOL; the next round takes
+    s from the best iterate's signs, except within SIGN_ZERO_TOL of zero.
+    Each restart is a row of one loop on its own round schedule, ending
+    when its signs repeat or after `max_outer` rounds.  The report gives,
+    per restart, its best feasible CCNR, steps taken, rounds and steps
+    handed to Dykstra; a restart with no feasible iterate reports its
+    start and is flagged.
+    """
+    if local_dim not in (4, 8, 16):
+        raise ValueError(
+            "the Bloch basis is built from Pauli strings, so the local dimension "
+            f"must be a power of two in {{4, 8, 16}}; got {local_dim}. Other "
+            "dimensions would need a different operator basis, which this tool "
+            "does not construct."
+        )
+    cfg = cfg or AscentConfig()
+    poly = _BlochPolytope(local_dim)
     r_count = cfg.n_restarts
     k = poly.c.shape[0]
     lam = np.empty((r_count, k))
@@ -757,64 +778,21 @@ def _ascent_all(poly: _BlochPolytope, cfg: AscentConfig) -> dict:
         signs = np.where(renew[:, None], new_signs, signs)
         lam = np.where(renew[:, None], best_lam, lam)
 
-    # a restart with no feasible iterate reports its start and stays flagged
     never = ~np.isfinite(best_ccnr)
     best_ccnr = np.where(never, start_ccnr, best_ccnr)
     flagged |= never
-    return {
-        "ccnr": best_ccnr,
-        "lambdas": best_lam,
-        "flagged": flagged,
-        "min_eig_seen": min_eig_seen,
-        "iters_used": iters_used,
-        "rounds_used": rounds_used,
-        "dykstra_steps": dykstra_steps,
-    }
-
-
-def ccnr_ascent_bloch_ppt(
-    local_dim: int, cfg: AscentConfig | None = None
-) -> OptimizationReport:
-    """Maximise sum |lambda_k| over Bloch-diagonal PPT states.
-
-    Supported local dimensions are 4, 8 and 16, where the basis is a
-    product of Pauli strings.  Inner loop: projected subgradient ascent
-    of sum_k s_k lambda_k at fixed signs, each step projected onto
-    {rho >= 0} cap {rho^T_B >= 0} cap {unit trace}.  At d = 4 and 8 the
-    projection is the exact active-set solve wherever its KKT
-    certificate holds; Dykstra's alternating scheme takes the steps it
-    does not certify, every step at d = 16 and the pull-in of the random
-    starts.  A round ends after `max_iters` steps or once an exactly
-    projected step moves its row by at most STALL_TOL; the next round takes
-    s from the best iterate's signs, except within SIGN_ZERO_TOL of zero.
-    Each restart is a row of one batch with its own rounds; the report gives
-    its steps taken, rounds and steps handed to Dykstra.
-    """
-    if local_dim not in (4, 8, 16):
-        raise ValueError(
-            "the Bloch basis is built from Pauli strings, so the local dimension "
-            f"must be a power of two in {{4, 8, 16}}; got {local_dim}. Other "
-            "dimensions would need a different operator basis, which this tool "
-            "does not construct."
-        )
-    cfg = cfg or AscentConfig()
-    poly = _BlochPolytope(local_dim)
-    out = _ascent_all(poly, cfg)
-
-    finals = [float(v) for v in out["ccnr"]]
-    best_idx = int(np.argmax(out["ccnr"]))
-    flagged = [i for i in range(cfg.n_restarts) if out["flagged"][i]]
+    best_idx = int(np.argmax(best_ccnr))
     return OptimizationReport(
-        best_value=finals[best_idx],
-        restart_values=finals,
+        best_value=float(best_ccnr[best_idx]),
+        restart_values=[float(v) for v in best_ccnr],
         best_restart=best_idx,
-        converged=not out["flagged"][best_idx],
+        converged=not flagged[best_idx],
         seed=cfg.seed,
         config=cfg.to_dict(),
-        iterations_used=[int(v) for v in out["iters_used"]],
-        flagged_restarts=flagged,
-        dykstra_steps=[int(v) for v in out["dykstra_steps"]],
-        rounds_used=[int(v) for v in out["rounds_used"]],
-        min_eig_seen=float(np.min(out["min_eig_seen"])),
-        best_lambdas=out["lambdas"][best_idx].copy(),
+        iterations_used=[int(v) for v in iters_used],
+        flagged_restarts=[int(i) for i in np.flatnonzero(flagged)],
+        dykstra_steps=[int(v) for v in dykstra_steps],
+        rounds_used=[int(v) for v in rounds_used],
+        min_eig_seen=float(np.min(min_eig_seen)),
+        best_lambdas=best_lam[best_idx].copy(),
     )

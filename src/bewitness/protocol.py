@@ -26,6 +26,9 @@ UNITARITY_ATOL = 1e-10
 OBSERVABLE_EIG_SLACK = 1e-9
 
 _BLOCK_TRIPLES = 256   # triples per dense contraction; bounds its memory
+# every one-copy triple (x, y, z), x slowest: the default plan of witness_brute_force
+ONE_COPY_GRID = np.indices((16, 16, 16)).reshape(3, -1).T[:, :, None] + 1
+ONE_COPY_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,6 @@ class TaskSpec:
             raise ValueError("channel_dim must lie in 1..16^N")
         if s.shape != (16,) or not np.all(np.isin(s, (-1, 1))):
             raise ValueError("signs must be 16 entries of +-1 (per copy)")
-
-    def flat_signs(self) -> np.ndarray:
-        """Sign of each flat z-vector, s_z = prod of per-copy signs."""
-        return linalg.kron_power(self.signs, self.n_copies)
 
     def weights(self, samples: np.ndarray) -> np.ndarray:
         """Task weights prod_l s[z_l] f(x_l, z_l) f(y_l, z_l) of triples
@@ -132,22 +131,16 @@ class Strategy:
             if np.max(np.abs(gram - np.eye(u.shape[-1]))) > UNITARITY_ATOL:
                 raise ValueError("encoder is not unitary within tolerance")
 
-    def dense_decoder(self, zs: tuple[int, ...]) -> np.ndarray:
-        da = linalg.kron_all([self.decoders_a[z - 1] for z in zs])
-        db = linalg.kron_all([self.decoders_b[z - 1] for z in zs])
-        return linalg.kron(da, db)
-
 
 def default_signs() -> np.ndarray:
     """Sign pattern matched to the bound entangled target state."""
     return states.rho_be().sign_pattern()
 
 
-def matched_task(state: BlochDiagonalState, channel_dim: int | None = None) -> TaskSpec:
-    """Task whose signs follow the state's first-copy coefficient signs."""
+def matched_task(state: BlochDiagonalState) -> TaskSpec:
+    """Task at D = 4^N whose signs follow the state's first-copy coefficient signs."""
     signs = states.first_copy_marginal(state).sign_pattern()
-    d = channel_dim if channel_dim is not None else 4**state.n_copies
-    return TaskSpec(n_copies=state.n_copies, channel_dim=d, signs=signs)
+    return TaskSpec(n_copies=state.n_copies, channel_dim=4**state.n_copies, signs=signs)
 
 
 def be_strategy(state: BlochDiagonalState) -> Strategy:
@@ -183,7 +176,8 @@ def expectation(strategy: Strategy, xs, ys, zs) -> float:
     literal Kronecker route: the reference for ``expectations_dense``."""
     triple = [np.atleast_1d(xs), np.atleast_1d(ys), np.atleast_1d(zs)]
     xs, ys, zs = _sample_indices([triple], strategy.n_copies)[0]
-    c = strategy.dense_decoder(zs + 1)
+    c = linalg.kron(linalg.kron_all([strategy.decoders_a[z] for z in zs]),
+                    linalg.kron_all([strategy.decoders_b[z] for z in zs]))
     if strategy.kind == "prepared_states":
         tau = linalg.kron(strategy.states_a[xs[0]], strategy.states_b[ys[0]])
         val = float(np.sum(tau * c.T).real)
@@ -200,35 +194,33 @@ def expectation(strategy: Strategy, xs, ys, zs) -> float:
 
 def sample_triples(n_copies: int, count: int, seed: int) -> np.ndarray:
     """Seeded uniform triples, shape (count, 3, n_copies), entries 1..16."""
+    if count < 1:
+        raise ValueError(f"need a sample count >= 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return rng.integers(1, 17, size=(count, 3, n_copies))
 
 
 def witness_brute_force(strategy: Strategy, task: TaskSpec,
                         samples: np.ndarray | None = None) -> WitnessResult:
-    """Witness by explicit dense summation.
+    """Witness by explicit dense summation: the mean over triples of task
+    weights times the correlators of ``expectations_dense``.
 
-    One copy: the full 16^3-triple sum over the one-copy correlator
-    table (no sampling accepted).  Two copies: a caller-supplied sample
-    of triples, the mean of task weights times the dense correlators of
-    ``expectations_dense``.  Three or more copies are rejected;
-    densification is off the table there.
+    The triples are ``samples`` when given.  One copy defaults to all
+    16^3 triples, ONE_COPY_GRID, which gives the exact witness; two
+    copies need a caller-supplied sample.  Three or more copies are
+    rejected; densification is off the table there.
     """
     if task.n_copies != strategy.n_copies:
         raise ValueError("task and strategy copy counts differ")
-    if task.n_copies == 1:
-        if samples is not None:
-            raise ValueError("one-copy witness is a full sum; drop samples")
-        f = pauli.F_TABLE
-        weights = task.signs * f[:, None, :] * f[None, :, :]
-        value = float(np.sum(weights * _expectation_table(strategy))) / 16**3
-        return WitnessResult(value, "brute_force", task)
-    if task.n_copies == 2:
-        if samples is None:
-            raise ValueError("two-copy brute force needs a sampling plan")
-        ev = expectations_dense(strategy, samples)
-        return WitnessResult(float(np.mean(task.weights(samples) * ev)), "brute_force", task)
-    raise ValueError("brute force is limited to one or two copies")
+    if task.n_copies > 2:
+        raise ValueError("brute force is limited to one or two copies")
+    if samples is None and task.n_copies == 2:
+        raise ValueError("two-copy brute force needs a sampling plan")
+    samples = ONE_COPY_GRID if samples is None else samples
+    value = float(np.mean(task.weights(samples) * expectations_dense(strategy, samples)))
+    return WitnessResult(value, "brute_force", task)
 
 
 def _expectation_table(strategy: Strategy) -> np.ndarray:
@@ -270,32 +262,28 @@ def expectations_dense(
 ) -> np.ndarray:
     """Dense correlators for triples (count, 3, n_copies), batched.
 
-    Entangled: tr[rho (A (x) B)], A the per-copy U_x^dagger M_a,z U_x
-    joined across copies (B likewise), contracted with the dense state
-    on its register legs.  Prepared (one copy): tr(tau_x M_a,z)
-    tr(tau_y M_b,z).  No Pauli algebra or one-copy table enters, so this
-    checks the factored route independently; ``expectation`` is the
-    literal per-triple reference.  ``workers`` is accepted and ignored.
+    One copy: entries of the dense one-copy table ``_expectation_table``.
+    Two copies (entangled): tr[rho (A (x) B)], A the per-copy
+    U_x^dagger M_a,z U_x joined across copies (B likewise), contracted
+    with the dense state on its register legs, in blocks of
+    _BLOCK_TRIPLES triples.  No Pauli algebra enters either route, so
+    this checks the factored route independently; ``expectation`` is
+    the literal per-triple reference.  ``workers`` is accepted and
+    ignored.
     """
     x, y, z = np.moveaxis(_sample_indices(samples, strategy.n_copies), 1, 0)
+    if strategy.n_copies == 1:
+        return _expectation_table(strategy)[x[:, 0], y[:, 0], z[:, 0]]
     ma, mb = np.asarray(strategy.decoders_a), np.asarray(strategy.decoders_b)
-    if strategy.kind == "prepared_states":
-        ta, tb = np.asarray(strategy.states_a), np.asarray(strategy.states_b)
-    else:
-        u, v = np.asarray(strategy.encoders_a), np.asarray(strategy.encoders_b)
-        d = u.shape[-1] ** strategy.n_copies
-        rho = states.densify(strategy.shared_state).reshape(d, d, d, d)
+    u, v = np.asarray(strategy.encoders_a), np.asarray(strategy.encoders_b)
+    d = u.shape[-1] ** strategy.n_copies
+    rho = states.densify(strategy.shared_state).reshape(d, d, d, d)
     out = np.empty(len(x))
     for i in range(0, len(x), _BLOCK_TRIPLES):
         b = slice(i, i + _BLOCK_TRIPLES)
-        if strategy.kind == "prepared_states":
-            xb, yb, zb = x[b, 0], y[b, 0], z[b, 0]
-            out[b] = np.einsum("tac,tca,tbd,tdb->t", ta[xb], ma[zb], tb[yb], mb[zb],
-                               optimize=True).real
-        else:
-            ha = _heisenberg_factors(u, ma, x[b], z[b])
-            hb = _heisenberg_factors(v, mb, y[b], z[b])
-            out[b] = np.einsum("abcd,tca,tdb->t", rho, ha, hb, optimize=True).real
+        ha = _heisenberg_factors(u, ma, x[b], z[b])
+        hb = _heisenberg_factors(v, mb, y[b], z[b])
+        out[b] = np.einsum("abcd,tca,tdb->t", rho, ha, hb, optimize=True).real
     return out
 
 
@@ -358,20 +346,15 @@ def sep_upper_bound(channel_dim: int, n_copies: int) -> Fraction:
 def classical_optimal_strategy_d4() -> Strategy:
     """Computational-basis encoding saturating the D=4 bound.
 
-    Per qubit the four inputs map pairwise onto |0><0|, |0><0|, |1><1|,
-    |1><1|; the two-qubit message state is the product of its digit
-    factors, and the decoders are the matched sign-projector optimum.
+    Input x = 4a + b (digits a, b in 0..3) is sent as the level
+    2 (a // 2) + b // 2: per qubit the four digit values map pairwise onto
+    |0>, |0>, |1>, |1>, and the two-qubit message is the product of its
+    digit factors.  The decoders are the matched sign-projector optimum.
     """
-    from .optimize import optimal_measurement
+    from .optimize import _level_states, optimal_measurement
 
-    q0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    q1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    per_digit = [q0, q0, q1, q1]
-    taus = [
-        linalg.kron(per_digit[a - 1], per_digit[b - 1])
-        for a in range(1, 5)
-        for b in range(1, 5)
-    ]
+    x = np.arange(16)
+    taus = _level_states(2 * (x // 8) + (x % 4) // 2, 4)
     dec_a, dec_b = optimal_measurement(taus, taus, default_signs())
     return Strategy(
         kind="prepared_states",
@@ -380,7 +363,7 @@ def classical_optimal_strategy_d4() -> Strategy:
         decoders_a=dec_a,
         decoders_b=dec_b,
         states_a=taus,
-        states_b=[t.copy() for t in taus],
+        states_b=taus.copy(),
     )
 
 

@@ -206,16 +206,11 @@ def realignment_computational(op: np.ndarray, dim_a: int, dim_b: int) -> np.ndar
     )
 
 
-def ccnr(obj) -> float:
-    """Trace norm of the realignment matrix.
-
-    Bloch-diagonal states take the exact fast path sum_k |lambda_k|;
-    dense operators on a square bipartition go through the
-    computational-basis realignment and an SVD.
-    """
-    if isinstance(obj, BlochDiagonalState):
-        return obj.ccnr_fast()
-    op = np.asarray(obj)
+def ccnr(op: np.ndarray) -> float:
+    """Trace norm of the realignment matrix of a dense operator on a
+    square bipartition, by the computational-basis realignment and an
+    SVD; a Bloch-diagonal state's exact value is its ``ccnr_fast``."""
+    op = np.asarray(op)
     d = round(np.sqrt(op.shape[0]))
     if d * d != op.shape[0]:
         raise ValueError("cannot infer a square bipartition")

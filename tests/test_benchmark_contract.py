@@ -66,11 +66,7 @@ def test_every_cli_mix_kind_runs_and_passes(tmp_path, kind):
     assert outcome.ok, outcome.detail
 
 
-def test_seesaw_job_calls_the_traced_half_steps(tmp_path):
-    """The see-saw's per-layer rows time the public half-steps; a job that
-    bypassed them would report those rows as 0."""
-    wl = WORKLOADS.make("seesaw", tmp_path)
-    job = next(wl.jobs(WORKLOADS.job_rng("seesaw", 0)))
+def _traced_calls(wl, job) -> dict:
     tracer = TRACER.Tracer()
     RUN.install_tracer(tracer, WORKLOADS)
     try:
@@ -78,7 +74,14 @@ def test_seesaw_job_calls_the_traced_half_steps(tmp_path):
     finally:
         tracer.unpatch()
     assert outcome.ok, outcome.detail
-    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    return {name: row["calls"] for name, row in tracer.summary().items()}
+
+
+def test_seesaw_job_calls_the_traced_half_steps(tmp_path):
+    """The see-saw's per-layer rows time the public half-steps; a job that
+    bypassed them would report those rows as 0."""
+    wl = WORKLOADS.make("seesaw", tmp_path)
+    calls = _traced_calls(wl, next(wl.jobs(WORKLOADS.job_rng("seesaw", 0))))
     assert calls.get("optimize.optimal_measurement", 0) >= 1
     assert calls.get("optimize.optimal_states_given_measurement", 0) >= 1
 
@@ -98,3 +101,18 @@ def test_ccnr_ascent_job_keeps_its_sweeps_and_skips_stalled_steps(tmp_path):
     assert outcome.ok, outcome.detail
     assert tracer.counts.get("optimize.dykstra.sweeps", 0) > 0
     assert outcome.counts["ascent_iterations"] < 2000
+
+
+def test_witness_jobs_call_every_traced_protocol_layer(tmp_path):
+    """The per-layer rows of `dense-oracle` and `cli-mix` time the dense
+    oracle, the densified state, the factored route and the brute-force
+    estimator; a job that routed around one would report its row as 0."""
+    oracle = WORKLOADS.make("dense-oracle", tmp_path)
+    calls = _traced_calls(oracle, next(oracle.jobs(WORKLOADS.job_rng("dense-oracle", 0))))
+    for name in ("protocol.expectations_dense", "states.densify", "protocol.witness_factored"):
+        assert calls.get(name, 0) >= 1, name
+    mix = WORKLOADS.make("cli-mix", tmp_path)
+    job = next(j for j in mix.jobs(WORKLOADS.job_rng("cli-mix", 0)) if j.kind == "brute-be-1")
+    calls = _traced_calls(mix, job)
+    for name in ("protocol.witness_brute_force", "protocol.expectations_dense", "states.densify"):
+        assert calls.get(name, 0) >= 1, name

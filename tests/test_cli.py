@@ -93,6 +93,15 @@ REFUSALS = {
         "witness", "--strategy", "classical-d4", "--method", "closed"],
     "witness-brute-three-copies": lambda tmp: ["witness", "--n-copies", "3", "--method", "brute"],
     "witness-zero-samples": lambda tmp: ["witness", "--n-copies", "2", "--samples", "0"],
+    "witness-negative-samples": lambda tmp: [
+        "witness", "--method", "factored", "--samples", "-1"],
+    "witness-negative-seed": lambda tmp: ["witness", "--method", "factored", "--seed", "-1"],
+    "seesaw-negative-seed": lambda tmp: [
+        "seesaw", "--kind", "classical", "--channel-dim", "4", "--seed", "-1"],
+    "seesaw-nan-tol": lambda tmp: [
+        "seesaw", "--kind", "classical", "--channel-dim", "4", "--tol", "nan"],
+    "ccnr-search-negative-seed": lambda tmp: [
+        "ccnr-search", "--local-dim", "4", "--seed", "-1"],
     "seesaw-channel-dim-17": lambda tmp: ["seesaw", "--kind", "classical", "--channel-dim", "17"],
     "ccnr-search-local-dim-5": lambda tmp: ["ccnr-search", "--local-dim", "5"],
     "ccnr-search-zero-restarts": lambda tmp: [

@@ -32,8 +32,13 @@ def test_config_validation():
         SeesawConfig(channel_dim=1)
     with pytest.raises(ValueError):
         SeesawConfig(channel_dim=17)
-    with pytest.raises(ValueError):
-        SeesawConfig(channel_dim=4, tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SeesawConfig(channel_dim=4, tol=tol)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SeesawConfig(channel_dim=4, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        AscentConfig(seed=-1)
     with pytest.raises(ValueError):
         AscentConfig(n_restarts=0)
     with pytest.raises(ValueError):

@@ -45,12 +45,6 @@ def test_taskspec_validation():
         protocol.TaskSpec(n_copies=1, channel_dim=4, signs=bad)
 
 
-def test_flat_signs_kron_structure():
-    signs = protocol.default_signs()
-    t2 = protocol.TaskSpec(n_copies=2, channel_dim=16, signs=signs)
-    assert np.array_equal(t2.flat_signs(), np.kron(signs, signs))
-
-
 def test_matched_task_follows_state_signs(rho, task):
     assert np.array_equal(task.signs, rho.sign_pattern())
     assert task.channel_dim == 4
@@ -116,15 +110,15 @@ def test_expectation_matches_table_and_brute_route(rho, strat, task, e1_table):
 
 
 def test_expectations_dense_matches_literal_route(rho, task):
-    """The batched oracle against per-triple ``expectation``: 64 two-copy
-    triples of the entangled protocol, and all 4096 one-copy triples of
-    a random D=7 prepared strategy, which span 16 blocks."""
+    """The batched oracle against per-triple ``expectation``: 300 two-copy
+    triples of the entangled protocol, which span two blocks of the dense
+    contraction, and all 4096 one-copy triples of a random D=7 prepared
+    strategy, gathered from the one-copy table."""
     strat2 = protocol.be_strategy(states.tensor_power(rho, 2))
-    triples = protocol.sample_triples(2, 64, seed=11)
+    triples = protocol.sample_triples(2, 300, seed=11)
+    assert len(triples) > protocol._BLOCK_TRIPLES
     prepared = _random_prepared_strategy(np.random.default_rng(5), 7, task.signs)
-    grid = np.array([[[x], [y], [z]] for x in range(1, 17)
-                     for y in range(1, 17) for z in range(1, 17)])
-    for st, tr in ((strat2, triples), (prepared, grid)):
+    for st, tr in ((strat2, triples), (prepared, protocol.ONE_COPY_GRID)):
         batched = protocol.expectations_dense(st, tr)
         literal = np.array([protocol.expectation(st, *t) for t in tr])
         assert batched.shape == (len(tr),)
@@ -264,8 +258,6 @@ def test_two_copy_workers_bit_identical(rho):
 
 
 def test_brute_force_argument_contract(rho, strat, task):
-    with pytest.raises(ValueError, match="drop samples"):
-        protocol.witness_brute_force(strat, task, samples=np.zeros((1, 3, 1), dtype=int))
     pair = states.tensor_power(rho, 2)
     strat2 = protocol.be_strategy(pair)
     task2 = protocol.matched_task(pair)
@@ -275,12 +267,28 @@ def test_brute_force_argument_contract(rho, strat, task):
         protocol.witness_brute_force(strat, task2)
 
 
+def test_one_copy_sampled_brute_matches_literal_route(strat, task):
+    """A seeded one-copy sample is accepted, and its brute-force value is
+    the mean of weights times the literal per-triple correlators."""
+    prepared = _random_prepared_strategy(np.random.default_rng(8), 5, task.signs)
+    triples = protocol.sample_triples(1, 300, seed=3)
+    w = np.array([pauli.w_value(t[0], t[1], t[2], task.signs) for t in triples], dtype=float)
+    for st in (strat, prepared):
+        literal = np.array([protocol.expectation(st, *t) for t in triples])
+        brute = protocol.witness_brute_force(st, task, samples=triples).value
+        assert abs(brute - float(np.mean(w * literal))) < 1e-14
+
+
 def test_sample_triples_deterministic():
     a = protocol.sample_triples(2, 20, seed=9)
     b = protocol.sample_triples(2, 20, seed=9)
     assert a.shape == (20, 3, 2)
     assert np.array_equal(a, b)
     assert a.min() >= 1 and a.max() <= 16
+    with pytest.raises(ValueError, match="count >= 1, got -1"):
+        protocol.sample_triples(2, -1, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        protocol.sample_triples(2, 20, seed=-1)
 
 
 def test_sep_upper_bound_exact():
@@ -304,6 +312,20 @@ def test_classical_optimal_strategy_saturates():
     task = protocol.TaskSpec(n_copies=1, channel_dim=4, signs=protocol.default_signs())
     value = protocol.witness_brute_force(strat, task).value
     assert abs(value - 0.25) < 1e-12
+
+
+def test_classical_messages_match_kronecker_reference():
+    """Input x = 4(a-1) + (b-1) sends q(a) (x) q(b), q = |0><0|, |0><0|,
+    |1><1|, |1><1| for a = 1..4: the literal Kronecker construction."""
+    q0 = np.array([[1, 0], [0, 0]], dtype=complex)
+    q1 = np.array([[0, 0], [0, 1]], dtype=complex)
+    per_digit = [q0, q0, q1, q1]
+    taus = np.array([np.kron(per_digit[a], per_digit[b]) for a in range(4) for b in range(4)])
+    strat = protocol.classical_optimal_strategy_d4()
+    dec_a, dec_b = optimal_measurement(taus, taus, protocol.default_signs())
+    for got, want in ((strat.states_a, taus), (strat.states_b, taus),
+                      (strat.decoders_a, dec_a), (strat.decoders_b, dec_b)):
+        assert np.asarray(got).tobytes() == want.tobytes()
 
 
 def test_integer_witness_certifies_the_classical_optimum():
