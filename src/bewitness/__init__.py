@@ -14,7 +14,6 @@ from .protocol import (
     TaskSpec,
     WitnessResult,
     be_strategy,
-    classical_optimal_strategy_d4,
     critical_visibility,
     critical_visibility_numeric,
     overhead_dimension,
@@ -39,6 +38,7 @@ from .optimize import (
     OptimizationReport,
     SeesawConfig,
     ccnr_ascent_bloch_ppt,
+    classical_optimal_strategy_d4,
     optimal_measurement,
     seesaw_classical,
     seesaw_quantum,

@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import protocol, states, verify
-from .optimize import AscentConfig, SeesawConfig, ccnr_ascent_bloch_ppt, seesaw_classical, seesaw_quantum
+from .optimize import (AscentConfig, SeesawConfig, ccnr_ascent_bloch_ppt,
+                       classical_optimal_strategy_d4, seesaw_classical, seesaw_quantum)
 
 # what a command other than `verify` returns: the JSON payload, the CSV
 # header and the CSV rows
@@ -83,7 +84,7 @@ def cmd_witness(args) -> Table:
         result = protocol.witness_closed_form(per_copy, task)
     elif args.method == "brute":
         strat = (
-            protocol.classical_optimal_strategy_d4()
+            classical_optimal_strategy_d4()
             if classical
             else protocol.be_strategy(states.tensor_power(per_copy, args.n_copies))
         )

@@ -31,25 +31,25 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(a).swapaxes(-1, -2)
 
 
-def require_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Return the symmetrised matrix (A + A^dagger)/2, or stack of them.
 
     Rejects non-square input and input whose Hermiticity defect exceeds
-    ``atol``; the defect is included in the error message.
+    HERMITICITY_ATOL; the defect is included in the error message.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     a_dag = dagger(a)
     defect = float(np.abs(a - a_dag).max()) if a.size else 0.0
-    if defect > atol:
+    if defect > HERMITICITY_ATOL:
         raise ValueError(
-            f"matrix is not Hermitian: max|A - A^dagger| = {defect:.3e} > {atol:.1e}"
+            f"matrix is not Hermitian: max|A - A^dagger| = {defect:.3e} > {HERMITICITY_ATOL:.1e}"
         )
     return 0.5 * (a + a_dag)
 
 
-def eigh(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
+def eigh(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix or a stack (..., n, n).
 
     Eigenvalues come out sorted descending along the last axis; the sort
@@ -58,7 +58,7 @@ def eigh(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
     use this only where the result does not depend on them (spectra,
     projectors, matrix functions).
     """
-    h = require_hermitian(a, atol)
+    h = require_hermitian(a)
     w, v = np.linalg.eigh(h)
     if (w[..., 1:] > w[..., :-1]).all():
         return Spectrum(eigenvalues=w[..., ::-1], eigenvectors=v[..., ::-1])
@@ -69,9 +69,9 @@ def eigh(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> Spectrum:
     )
 
 
-def eigvalsh(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def eigvalsh(a: np.ndarray) -> np.ndarray:
     """The descending eigenvalues of `eigh`, with its check, and no vectors."""
-    return np.linalg.eigvalsh(require_hermitian(a, atol))[..., ::-1]
+    return np.linalg.eigvalsh(require_hermitian(a))[..., ::-1]
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

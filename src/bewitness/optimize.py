@@ -30,7 +30,7 @@ exact step's linear systems cost more than the sweeps they save.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,25 +111,40 @@ class OptimizationReport:
     dykstra_steps: list[int] | None = None
     rounds_used: list[int] | None = None
 
+    @classmethod
+    def from_restarts(cls, cfg, values, iters, flagged, converged, *,
+                      tables=None, lambdas=None, **extra) -> OptimizationReport:
+        """The report of a search from its per-restart arrays.
+
+        The best restart is the first with the top value.  `tables`
+        (states_a, states_b, decoders_a, decoders_b) and `lambdas` stack one
+        row per restart, of which the report keeps the best; `extra` fields
+        are kept as given.
+        """
+        values = [float(v) for v in values]
+        best = int(np.argmax(values))
+        return cls(
+            best_value=values[best],
+            restart_values=values,
+            best_restart=best,
+            converged=bool(converged[best]),
+            seed=cfg.seed,
+            config=cfg.to_dict(),
+            iterations_used=[int(v) for v in iters],
+            flagged_restarts=[int(i) for i in np.flatnonzero(flagged)],
+            best_strategy=(None if tables is None
+                           else _prepared_strategy(*(t[best] for t in tables))),
+            best_lambdas=None if lambdas is None else lambdas[best].copy(),
+            **extra,
+        )
+
     def to_dict(self) -> dict:
-        out = {
-            "best_value": self.best_value,
-            "restart_values": [float(v) for v in self.restart_values],
-            "best_restart": self.best_restart,
-            "converged": self.converged,
-            "seed": self.seed,
-            "config": self.config,
-            "iterations_used": [int(v) for v in self.iterations_used],
-            "flagged_restarts": [int(v) for v in self.flagged_restarts],
-        }
-        if self.min_eig_seen is not None:
-            out["min_eig_seen"] = self.min_eig_seen
-        if self.best_lambdas is not None:
-            out["best_lambdas"] = [float(v) for v in self.best_lambdas]
-        if self.dykstra_steps is not None:
-            out["dykstra_steps"] = list(self.dykstra_steps)
-        if self.rounds_used is not None:
-            out["rounds_used"] = list(self.rounds_used)
+        """Every set field but the strategy, as JSON-ready values."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and f.name != "best_strategy":
+                out[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
         return out
 
 
@@ -188,15 +203,6 @@ def optimal_measurement(
     return task_signs * decoders[0], decoders[1]
 
 
-def _witness_product_decoders(
-    states_a, states_b, dec_a, dec_b, signs
-) -> float:
-    """(1/16^3) sum_z s_z tr(O_a_z M_a_z) tr(O_b_z M_b_z)."""
-    ta = _correlations(_f_sum(states_a), dec_a)
-    tb = _correlations(_f_sum(states_b), dec_b)
-    return float(_witness(ta, tb, signs))
-
-
 def optimal_states_given_measurement(
     dec_self: np.ndarray,
     dec_other: np.ndarray,
@@ -224,6 +230,34 @@ def optimal_states_given_measurement(
 
 def _level_states(levels: np.ndarray, dim: int) -> np.ndarray:
     return _projectors(np.eye(dim, dtype=complex)[levels])
+
+
+def _prepared_strategy(states_a, states_b, dec_a, dec_b) -> Strategy:
+    return Strategy(kind="prepared_states", n_copies=1, decoders_a=dec_a,
+                    decoders_b=dec_b, states_a=states_a, states_b=states_b)
+
+
+def _level_rows(levels_a: np.ndarray, levels_b: np.ndarray, dim: int, signs: np.ndarray) -> tuple:
+    """Computational-basis encodings (..., 16) as message states, their
+    best decoders and the witness these attain, by the quantum rows' own
+    expressions: (w, states_a, states_b, dec_a, dec_b)."""
+    sa, sb = _level_states(levels_a, dim), _level_states(levels_b, dim)
+    dec_a, dec_b = optimal_measurement(sa, sb, signs)
+    w = _witness(_correlations(_f_sum(sa), dec_a), _correlations(_f_sum(sb), dec_b), signs)
+    return w, sa, sb, dec_a, dec_b
+
+
+def classical_optimal_strategy_d4() -> Strategy:
+    """Computational-basis encoding saturating the D=4 bound.
+
+    Input x = 4a + b (digits a, b in 0..3) is sent as the level
+    2 (a // 2) + b // 2: per qubit the four digit values map pairwise onto
+    |0>, |0>, |1>, |1>, and the two-qubit message is the product of its
+    digit factors.  The decoders are the matched sign-projector optimum.
+    """
+    x = np.arange(16)
+    levels = 2 * (x // 8) + (x % 4) // 2
+    return _prepared_strategy(*_level_rows(levels, levels, 4, protocol.default_signs())[1:])
 
 
 def _diag_o(levels: np.ndarray, dim: int) -> np.ndarray:
@@ -331,15 +365,16 @@ def _classical_norms(levels: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _classical_restart(
-    cfg: SeesawConfig, restart: int, signs: np.ndarray
-) -> tuple[float, int, bool, bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    cfg: SeesawConfig, restart: int
+) -> tuple[np.ndarray, np.ndarray, float, int, bool, bool]:
     """One classical restart: ascent over deterministic encodings.
 
     Tracks the witness with the measurement re-optimised after every
     update, so the value is monotone across all three move kinds: the
     argmax step against frozen decoders lower-bounds it and the sweep
     and exchange moves increase it directly.  Phases cycle until a full
-    cycle brings no improvement.
+    cycle brings no improvement.  Returns (levels_a, levels_b, value,
+    cycles, converged, flagged), the value scored in exact integers.
     """
     rng = np.random.default_rng([cfg.seed, restart])
     d = cfg.channel_dim
@@ -378,13 +413,16 @@ def _classical_restart(
         if w - w_cycle_start < cfg.tol:
             converged = True
             break
-    states_a = _level_states(levels_a, d)
-    states_b = _level_states(levels_b, d)
-    dec_a, dec_b = optimal_measurement(states_a, states_b, signs)
-    w_final = _witness_product_decoders(states_a, states_b, dec_a, dec_b, signs)
-    if abs(w_final - w) > 1e-9:
-        flagged = True
-    return w_final, iters, converged, flagged, states_a, states_b, dec_a, dec_b
+    return levels_a, levels_b, w, iters, converged, flagged
+
+
+def _classical_rows(cfg: SeesawConfig, signs: np.ndarray) -> tuple:
+    """Every classical restart, scored at once as (R, 16, D, D) rows; a row
+    whose float witness is more than 1e-9 off its integer score is flagged."""
+    levels_a, levels_b, w_int, iters, converged, flagged = (
+        np.array(v) for v in zip(*[_classical_restart(cfg, r) for r in range(cfg.n_restarts)]))
+    w, *tables = _level_rows(levels_a, levels_b, cfg.channel_dim, signs)
+    return (w, iters, converged, flagged | (np.abs(w - w_int) > 1e-9), *tables)
 
 
 def _seesaw_rows(cfg: SeesawConfig, signs: np.ndarray) -> tuple:
@@ -449,36 +487,13 @@ def _run_seesaw(
     cfg: SeesawConfig, signs: np.ndarray | None, classical: bool
 ) -> OptimizationReport:
     signs = np.asarray(signs if signs is not None else protocol.default_signs(), dtype=float)
-    rows = (zip(*[_classical_restart(cfg, i, signs) for i in range(cfg.n_restarts)])
-            if classical else _seesaw_rows(cfg, signs))
-    values, iters, converged, flagged, sa, sb, dec_a, dec_b = rows
-    finals = [float(v) for v in values]
-    best_idx = int(np.argmax(finals))
+    rows = (_classical_rows if classical else _seesaw_rows)(cfg, signs)
+    values, iters, converged, flagged, *tables = rows
+    top = float(np.max(values))
     bound = float(sep_upper_bound(cfg.channel_dim, 1))
-    if finals[best_idx] > bound + SOUNDNESS_SLACK:
-        raise AssertionError(
-            f"see-saw value {finals[best_idx]} exceeds the separable bound {bound}"
-        )
-    strategy = Strategy(
-        kind="prepared_states",
-        n_copies=1,
-        channel_dim=cfg.channel_dim,
-        decoders_a=dec_a[best_idx],
-        decoders_b=dec_b[best_idx],
-        states_a=sa[best_idx],
-        states_b=sb[best_idx],
-    )
-    return OptimizationReport(
-        best_value=finals[best_idx],
-        restart_values=finals,
-        best_restart=best_idx,
-        converged=bool(converged[best_idx]),
-        seed=cfg.seed,
-        config=cfg.to_dict(),
-        iterations_used=[int(v) for v in iters],
-        flagged_restarts=[i for i, f in enumerate(flagged) if f],
-        best_strategy=strategy,
-    )
+    if top > bound + SOUNDNESS_SLACK:
+        raise AssertionError(f"see-saw value {top} exceeds the separable bound {bound}")
+    return OptimizationReport.from_restarts(cfg, values, iters, flagged, converged, tables=tables)
 
 
 def seesaw_quantum(
@@ -781,18 +796,8 @@ def ccnr_ascent_bloch_ppt(
     never = ~np.isfinite(best_ccnr)
     best_ccnr = np.where(never, start_ccnr, best_ccnr)
     flagged |= never
-    best_idx = int(np.argmax(best_ccnr))
-    return OptimizationReport(
-        best_value=float(best_ccnr[best_idx]),
-        restart_values=[float(v) for v in best_ccnr],
-        best_restart=best_idx,
-        converged=not flagged[best_idx],
-        seed=cfg.seed,
-        config=cfg.to_dict(),
-        iterations_used=[int(v) for v in iters_used],
-        flagged_restarts=[int(i) for i in np.flatnonzero(flagged)],
-        dykstra_steps=[int(v) for v in dykstra_steps],
-        rounds_used=[int(v) for v in rounds_used],
+    return OptimizationReport.from_restarts(
+        cfg, best_ccnr, iters_used, flagged, ~flagged, lambdas=best_lam,
+        dykstra_steps=dykstra_steps.tolist(), rounds_used=rounds_used.tolist(),
         min_eig_seen=float(np.min(min_eig_seen)),
-        best_lambdas=best_lam[best_idx].copy(),
     )

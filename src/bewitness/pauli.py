@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import kron_power
+from .linalg import KRON_ENTRY_CAP, kron_power
 
 # Hadamard-type sign matrix driving the task functions.  Row a, column b
 # is +1 exactly when the a-th and b-th single-qubit Paulis commute.
@@ -58,9 +58,6 @@ BELL_SIGNS = np.array(
     ],
     dtype=np.int64,
 )
-
-_MAX_QUBITS = 8
-
 
 def flat_from_pair(a: int, b: int) -> int:
     """Pair (a, b) in [4]^2 -> flat index in [16]."""
@@ -125,10 +122,13 @@ def pauli_basis(n_qubits: int) -> np.ndarray:
     Element k is the product of sub-normalised single-qubit Paulis whose
     base-4 digit string (most significant digit first) spells k; element
     0 is I / 2^(n/2).  trace(G_k G_l) = delta_kl and 2^(n/2) * G_k is
-    unitary for every k.
+    unitary for every k.  The stack has 16^n entries, capped like a
+    `kron` result at KRON_ENTRY_CAP, so n is at most 5.
     """
-    if not (1 <= n_qubits <= _MAX_QUBITS):
-        raise ValueError(f"n_qubits must be in 1..{_MAX_QUBITS}")
+    if n_qubits < 1 or 16**n_qubits > KRON_ENTRY_CAP:
+        raise ValueError(
+            f"n_qubits must be >= 1 with 16^n_qubits <= {KRON_ENTRY_CAP}, got {n_qubits}"
+        )
     return kron_power(np.stack(_SIGMA), n_qubits)
 
 

@@ -88,7 +88,6 @@ class Strategy:
 
     kind: str
     n_copies: int
-    channel_dim: int
     decoders_a: list[np.ndarray]
     decoders_b: list[np.ndarray]
     states_a: list[np.ndarray] | None = None
@@ -149,7 +148,6 @@ def be_strategy(state: BlochDiagonalState) -> Strategy:
     return Strategy(
         kind="entangled_unitaries",
         n_copies=state.n_copies,
-        channel_dim=4,
         decoders_a=scaled,
         decoders_b=scaled.copy(),
         encoders_a=scaled.copy(),
@@ -341,30 +339,6 @@ def sep_upper_bound(channel_dim: int, n_copies: int) -> Fraction:
     if channel_dim < 1 or n_copies < 1:
         raise ValueError("channel_dim and n_copies must be >= 1")
     return Fraction(channel_dim, 16**n_copies)
-
-
-def classical_optimal_strategy_d4() -> Strategy:
-    """Computational-basis encoding saturating the D=4 bound.
-
-    Input x = 4a + b (digits a, b in 0..3) is sent as the level
-    2 (a // 2) + b // 2: per qubit the four digit values map pairwise onto
-    |0>, |0>, |1>, |1>, and the two-qubit message is the product of its
-    digit factors.  The decoders are the matched sign-projector optimum.
-    """
-    from .optimize import _level_states, optimal_measurement
-
-    x = np.arange(16)
-    taus = _level_states(2 * (x // 8) + (x % 4) // 2, 4)
-    dec_a, dec_b = optimal_measurement(taus, taus, default_signs())
-    return Strategy(
-        kind="prepared_states",
-        n_copies=1,
-        channel_dim=4,
-        decoders_a=dec_a,
-        decoders_b=dec_b,
-        states_a=taus,
-        states_b=taus.copy(),
-    )
 
 
 def critical_visibility(n_copies: int) -> Fraction:

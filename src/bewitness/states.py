@@ -280,16 +280,27 @@ def state_to_dict(state: BlochDiagonalState) -> dict:
     }
 
 
-def state_from_dict(data: dict) -> BlochDiagonalState:
+def state_from_dict(data) -> BlochDiagonalState:
+    """The state of a `state_to_dict` object.  Any other top level, a copy
+    count that is not a JSON integer and lambdas that are not a list of
+    numbers are refused with a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a state file must hold a JSON object, got {type(data).__name__}")
     tag = data.get("convention")
     if tag != CONVENTION_TAG:
         raise ConventionError(
             f"state file declares convention {tag!r}, expected {CONVENTION_TAG!r}"
         )
-    return BlochDiagonalState(
-        n_copies=int(data["n_copies"]),
-        lambdas=np.array(data["lambdas"], dtype=float),
-    )
+    n_copies, lambdas = data["n_copies"], data["lambdas"]
+    if type(n_copies) is not int:
+        raise ValueError(f"n_copies must be an integer, got {n_copies!r}")
+    if not isinstance(lambdas, list):
+        raise ValueError(f"lambdas must be a list of numbers, got {type(lambdas).__name__}")
+    try:
+        lambdas = np.array(lambdas, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"lambdas must be a list of numbers: {exc}") from exc
+    return BlochDiagonalState(n_copies=n_copies, lambdas=lambdas)
 
 
 def load_state(path: str) -> BlochDiagonalState:

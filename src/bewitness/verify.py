@@ -18,7 +18,10 @@ from . import pauli, protocol, states
 from .optimize import (
     AscentConfig,
     SeesawConfig,
+    PPT_ITERATE_TOL,
+    SOUNDNESS_SLACK,
     ccnr_ascent_bloch_ppt,
+    classical_optimal_strategy_d4,
     optimal_measurement,
     seesaw_classical,
     seesaw_quantum,
@@ -141,7 +144,7 @@ def check_separable_saturation() -> CheckResult:
     """The best deterministic encoding at D=4 saturates the bound 1/4,
     within 1e-12 and exactly by `integer_witness`."""
     t0 = time.perf_counter()
-    strat = protocol.classical_optimal_strategy_d4()
+    strat = classical_optimal_strategy_d4()
     task = protocol.TaskSpec(
         n_copies=1, channel_dim=4, signs=protocol.default_signs()
     )
@@ -217,7 +220,7 @@ def check_seesaw() -> CheckResult:
             cost = f"{sum(rep.iterations_used)} cycles, {time.perf_counter() - t_run:.1f} s"
             top = max(rep.restart_values)
             bound = d / 16
-            if not (rep.best_value >= target - tol_low and top <= bound + 1e-9):
+            if not (rep.best_value >= target - tol_low and top <= bound + SOUNDNESS_SLACK):
                 ok = False
             details.append(f"D={d} {kind}: {rep.best_value:.9f} ({cost})")
     return _finish("09-seesaw", 60.0, t0, ok, "; ".join(details))
@@ -238,7 +241,7 @@ def check_ccnr_ascent() -> CheckResult:
             rep = ccnr_ascent_bloch_ppt(d, cfg)
             feas = min(float(pauli.bell_spectrum(rep.best_lambdas, partial_transpose=pt).min())
                        for pt in (False, True))
-            if rep.best_value >= target and feas >= -1e-8:
+            if rep.best_value >= target and feas >= PPT_ITERATE_TOL:
                 reached = (rep.best_value, attempt + 1, feas)
                 break
         cost = f"{sum(rep.iterations_used)} steps, {time.perf_counter() - t_d:.1f} s"
@@ -272,7 +275,6 @@ def check_property_suite() -> CheckResult:
         strat = protocol.Strategy(
             kind="prepared_states",
             n_copies=1,
-            channel_dim=4,
             decoders_a=dec_a,
             decoders_b=dec_b,
             states_a=states_a,

@@ -66,15 +66,21 @@ def test_out_file_matches_stdout(tmp_path, capsys):
             assert out.read_bytes() == capsys.readouterr().out.encode(), (argv, fmt)
 
 
-def _state_file(tmp_path, convention="k=4i+j+1", n_copies=1, entry=None):
-    """A copy of the target state's power, with one (index, value) entry set."""
+def _json_file(tmp_path, data):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _state_file(tmp_path, convention="k=4i+j+1", n_copies=1, entry=None, fields=None):
+    """A copy of the target state's power, with one (index, value) entry set
+    and top-level `fields` replaced."""
     data = states.state_to_dict(states.tensor_power(states.rho_be(), n_copies))
     data["convention"] = convention
     if entry:
         data["lambdas"][entry[0]] = entry[1]
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    return str(path)
+    data.update(fields or {})
+    return _json_file(tmp_path, data)
 
 
 # each builds, in a temporary directory, a command line that main refuses
@@ -87,6 +93,20 @@ REFUSALS = {
         "state-info", "--state", _state_file(tmp, entry=(3, float("nan")))],
     "state-info-not-psd": lambda tmp: [
         "state-info", "--state", _state_file(tmp, entry=(3, 5.0))],
+    "state-info-top-level-list": lambda tmp: [
+        "state-info", "--state", _json_file(tmp, [states.state_to_dict(states.rho_be())])],
+    "state-info-top-level-number": lambda tmp: ["state-info", "--state", _json_file(tmp, 1)],
+    "state-info-lambdas-object": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, fields={"lambdas": {"1": 0.25}})],
+    "state-info-lambdas-entry-object": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, entry=(3, {}))],
+    "state-info-fractional-copies": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, fields={"n_copies": 1.5})],
+    "state-info-string-copies": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, fields={"n_copies": "1"})],
+    "verify-top-level-list": lambda tmp: ["verify", "--state", _json_file(tmp, [])],
+    "verify-lambdas-object": lambda tmp: [
+        "verify", "--state", _state_file(tmp, fields={"lambdas": {}})],
     "witness-classical-two-copies": lambda tmp: [
         "witness", "--strategy", "classical-d4", "--n-copies", "2"],
     "witness-classical-closed": lambda tmp: [

@@ -8,7 +8,6 @@ from bewitness.optimize import (
     SIGN_ZERO_TOL,
     _BlochPolytope,
     _refresh_signs,
-    _witness_product_decoders,
     ccnr_ascent_bloch_ppt,
     joint_eigenvalue_matrix,
     optimal_measurement,
@@ -16,6 +15,13 @@ from bewitness.optimize import (
     seesaw_classical,
     seesaw_quantum,
 )
+
+
+def _witness_product_decoders(states_a, states_b, dec_a, dec_b, signs):
+    """(1/16^3) sum_z s_z tr(O_a_z M_a_z) tr(O_b_z M_b_z) for one restart."""
+    ta = optimize._correlations(optimize._f_sum(states_a), dec_a)
+    tb = optimize._correlations(optimize._f_sum(states_b), dec_b)
+    return float(optimize._witness(ta, tb, signs))
 
 
 def _random_pure_states(rng, dim, count=16):
@@ -56,7 +62,6 @@ def test_measurement_witness_agrees_with_brute_force():
     strat = protocol.Strategy(
         kind="prepared_states",
         n_copies=1,
-        channel_dim=4,
         decoders_a=dec_a,
         decoders_b=dec_b,
         states_a=sa,
@@ -113,6 +118,22 @@ def test_seesaw_classical_full_encoding_at_d16():
     rep = seesaw_classical(SeesawConfig(channel_dim=16, n_restarts=2, max_iters=100))
     assert abs(rep.best_value - 1.0) < 1e-12
     assert max(rep.restart_values) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("d,n_restarts", [(2, 3), (4, 5), (16, 3)])
+def test_classical_rows_match_single_restart_scoring_bitwise(d, n_restarts):
+    cfg = SeesawConfig(channel_dim=d, n_restarts=n_restarts, max_iters=100, seed=1)
+    signs = protocol.default_signs().astype(float)
+    w, iters, converged, flagged, *tables = optimize._classical_rows(cfg, signs)
+    for r in range(n_restarts):
+        levels_a, levels_b, w_int, cycles, conv, flag = optimize._classical_restart(cfg, r)
+        sa, sb = optimize._level_states(levels_a, d), optimize._level_states(levels_b, d)
+        da, db = optimal_measurement(sa, sb, signs)
+        w_r = _witness_product_decoders(sa, sb, da, db, signs)
+        assert float(w[r]).hex() == w_r.hex()
+        assert (iters[r], converged[r], flagged[r]) == (cycles, conv, flag or abs(w_r - w_int) > 1e-9)
+        for got, want in zip(tables, (sa, sb, da, db)):
+            assert np.array_equal(got[r].view(np.int64), want.view(np.int64))
 
 
 def test_seesaw_quantum_sound_at_d4():

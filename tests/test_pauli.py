@@ -64,10 +64,12 @@ def test_pauli_basis_digit_order(n):
 
 
 def test_pauli_basis_range():
-    with pytest.raises(ValueError):
-        pauli.pauli_basis(0)
-    with pytest.raises(ValueError):
-        pauli.pauli_basis(9)
+    # the stack has 16^n entries: 5 qubits reach KRON_ENTRY_CAP exactly
+    assert 16**5 == linalg.KRON_ENTRY_CAP
+    assert pauli.pauli_basis(5).shape == (4**5, 2**5, 2**5)
+    for n in (0, 6, 9):
+        with pytest.raises(ValueError, match="16\\^n_qubits"):
+            pauli.pauli_basis(n)
 
 
 def test_m_matrix_exact_identity():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bewitness import pauli, protocol, states, verify
-from bewitness.optimize import optimal_measurement
+from bewitness.optimize import classical_optimal_strategy_d4, optimal_measurement
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,6 @@ def _random_prepared_strategy(rng, dim, signs):
     return protocol.Strategy(
         kind="prepared_states",
         n_copies=1,
-        channel_dim=dim,
         decoders_a=dec_a,
         decoders_b=dec_b,
         states_a=taus[:16],
@@ -307,7 +306,7 @@ def test_critical_visibility_exact_and_numeric():
 
 
 def test_classical_optimal_strategy_saturates():
-    strat = protocol.classical_optimal_strategy_d4()
+    strat = classical_optimal_strategy_d4()
     assert strat.kind == "prepared_states"
     task = protocol.TaskSpec(n_copies=1, channel_dim=4, signs=protocol.default_signs())
     value = protocol.witness_brute_force(strat, task).value
@@ -321,7 +320,7 @@ def test_classical_messages_match_kronecker_reference():
     q1 = np.array([[0, 0], [0, 1]], dtype=complex)
     per_digit = [q0, q0, q1, q1]
     taus = np.array([np.kron(per_digit[a], per_digit[b]) for a in range(4) for b in range(4)])
-    strat = protocol.classical_optimal_strategy_d4()
+    strat = classical_optimal_strategy_d4()
     dec_a, dec_b = optimal_measurement(taus, taus, protocol.default_signs())
     for got, want in ((strat.states_a, taus), (strat.states_b, taus),
                       (strat.decoders_a, dec_a), (strat.decoders_b, dec_b)):
@@ -329,7 +328,7 @@ def test_classical_messages_match_kronecker_reference():
 
 
 def test_integer_witness_certifies_the_classical_optimum():
-    strat = protocol.classical_optimal_strategy_d4()
+    strat = classical_optimal_strategy_d4()
     task = protocol.TaskSpec(n_copies=1, channel_dim=4, signs=protocol.default_signs())
     assert verify.integer_witness(strat, task) == Fraction(1, 4)
 
@@ -341,19 +340,18 @@ def test_integer_witness_refuses_non_integral_tables():
     v = g / np.linalg.norm(g, axis=2, keepdims=True)
     sa, sb = (np.einsum("xi,xj->xij", side, side.conj()) for side in v)
     dec_a, dec_b = optimal_measurement(sa, sb, task.signs)
-    strat = protocol.Strategy(kind="prepared_states", n_copies=1, channel_dim=4,
+    strat = protocol.Strategy(kind="prepared_states", n_copies=1,
                               decoders_a=dec_a, decoders_b=dec_b, states_a=sa, states_b=sb)
     with pytest.raises(ValueError, match="not integral"):
         verify.integer_witness(strat, task)
 
 
 def test_prepared_strategies_single_copy_only():
-    strat = protocol.classical_optimal_strategy_d4()
+    strat = classical_optimal_strategy_d4()
     with pytest.raises(ValueError, match="single copy"):
         protocol.Strategy(
             kind="prepared_states",
             n_copies=2,
-            channel_dim=4,
             decoders_a=strat.decoders_a,
             decoders_b=strat.decoders_b,
             states_a=strat.states_a,
@@ -378,7 +376,6 @@ def test_random_product_strategies_respect_bound():
         st = protocol.Strategy(
             kind="prepared_states",
             n_copies=1,
-            channel_dim=4,
             decoders_a=dec_a,
             decoders_b=dec_b,
             states_a=sa,
