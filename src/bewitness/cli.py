@@ -7,13 +7,15 @@ line per check whatever --format says, and does not echo --seed.  Every
 refusal, an unwritable --out included, is one stderr line
 "<command>: <message>" with exit 2 and nothing on stdout.  A failed check
 or runtime assertion exits 1.  Reruns with the same flags produce
-byte-identical primary output.
+byte-identical primary output.  The argument parser is built once per
+process, so repeated in-process `main` calls pay only for parsing.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -204,7 +206,10 @@ def _write_out(path: str, text: str) -> None:
         raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by
+    every later `main` in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bewitness",
         description="Bound entanglement witness toolkit",

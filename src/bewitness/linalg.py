@@ -35,14 +35,15 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Return the symmetrised matrix (A + A^dagger)/2, or stack of them.
 
     Rejects non-square input and input whose Hermiticity defect exceeds
-    HERMITICITY_ATOL; the defect is included in the error message.
+    HERMITICITY_ATOL or is NaN, as it is for any NaN or infinite entry;
+    the defect is included in the error message.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     a_dag = dagger(a)
     defect = float(np.abs(a - a_dag).max()) if a.size else 0.0
-    if defect > HERMITICITY_ATOL:
+    if not defect <= HERMITICITY_ATOL:
         raise ValueError(
             f"matrix is not Hermitian: max|A - A^dagger| = {defect:.3e} > {HERMITICITY_ATOL:.1e}"
         )

@@ -13,6 +13,7 @@ All coefficient tables below are integer valued and exact.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +42,11 @@ _SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex) / _SQ2,
     np.array([[1, 0], [0, -1]], dtype=complex) / _SQ2,
 )
+
+# Each single-qubit Pauli has one nonzero per row, sigma[a, a ^ flip]:
+# X and Y flip the bit, I and Z keep it.
+_SIGMA_FLIPS = np.array([0, 1, 1, 0], dtype=np.int64)
+_SIGMA_ROW_VALUES = np.array([[s[0, f], s[1, 1 - f]] for s, f in zip(_SIGMA, _SIGMA_FLIPS)])
 
 # Transpose signs of the sub-normalised Paulis: Y is antisymmetric.
 SIGMA_TRANSPOSE_SIGNS = np.array([1, 1, -1, 1], dtype=np.int64)
@@ -115,6 +121,13 @@ def m_matrix(n_copies: int) -> np.ndarray:
     return f @ f.T
 
 
+def _check_qubit_count(n_qubits: int) -> None:
+    if n_qubits < 1 or 16**n_qubits > KRON_ENTRY_CAP:
+        raise ValueError(
+            f"n_qubits must be >= 1 with 16^n_qubits <= {KRON_ENTRY_CAP}, got {n_qubits}"
+        )
+
+
 def pauli_basis(n_qubits: int) -> np.ndarray:
     """Orthonormal Hermitian basis of n-qubit Pauli strings, as one
     (4^n, 2^n, 2^n) array.
@@ -125,11 +138,30 @@ def pauli_basis(n_qubits: int) -> np.ndarray:
     unitary for every k.  The stack has 16^n entries, capped like a
     `kron` result at KRON_ENTRY_CAP, so n is at most 5.
     """
-    if n_qubits < 1 or 16**n_qubits > KRON_ENTRY_CAP:
-        raise ValueError(
-            f"n_qubits must be >= 1 with 16^n_qubits <= {KRON_ENTRY_CAP}, got {n_qubits}"
-        )
+    _check_qubit_count(n_qubits)
     return kron_power(np.stack(_SIGMA), n_qubits)
+
+
+@functools.cache
+def pauli_monomials(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-qubit Pauli strings as monomial matrices: (by_mask, values),
+    read only and built once per n.
+
+    G_k has one nonzero per row, G_k[a, a ^ x] = values[k, a], where the
+    X-mask x of k has a bit set on each qubit whose digit is X or Y
+    (first qubit most significant, as in a and k).  by_mask[x] lists the
+    2^n strings with X-mask x in ascending k.  The values are the
+    products `pauli_basis` forms, in the same order, so they equal its
+    nonzero entries bit for bit.
+    """
+    _check_qubit_count(n_qubits)
+    masks = _SIGMA_FLIPS
+    for _ in range(n_qubits - 1):
+        masks = (2 * masks[:, None] + _SIGMA_FLIPS).ravel()
+    by_mask = np.argsort(masks, kind="stable").reshape(2**n_qubits, -1)
+    values = kron_power(_SIGMA_ROW_VALUES, n_qubits)
+    by_mask.flags.writeable = values.flags.writeable = False
+    return by_mask, values
 
 
 def pauli_transpose_signs(n_qubits: int) -> np.ndarray:

@@ -52,7 +52,11 @@ class TaskSpec:
     def weights(self, samples: np.ndarray) -> np.ndarray:
         """Task weights prod_l s[z_l] f(x_l, z_l) f(y_l, z_l) of triples
         (count, 3, n_copies); the batched form of ``pauli.w_value``."""
-        x, y, z = np.moveaxis(_sample_indices(samples, self.n_copies), 1, 0)
+        return self._index_weights(_sample_indices(samples, self.n_copies))
+
+    def _index_weights(self, idx: np.ndarray) -> np.ndarray:
+        """`weights` of 0-based triples that `_sample_indices` has validated."""
+        x, y, z = np.moveaxis(idx, 1, 0)
         f = pauli.F_TABLE
         return np.prod(self.signs[z] * f[x, z] * f[y, z], axis=1)
 
@@ -217,7 +221,8 @@ def witness_brute_force(strategy: Strategy, task: TaskSpec,
     if samples is None and task.n_copies == 2:
         raise ValueError("two-copy brute force needs a sampling plan")
     samples = ONE_COPY_GRID if samples is None else samples
-    value = float(np.mean(task.weights(samples) * expectations_dense(strategy, samples)))
+    correlators = expectations_dense(strategy, samples)   # validates the plan
+    value = float(np.mean(task._index_weights(np.asarray(samples) - 1) * correlators))
     return WitnessResult(value, "brute_force", task)
 
 
@@ -368,10 +373,11 @@ def critical_visibility_numeric(n_copies: int) -> float:
     return (bound - w_mixed) / (w_be - w_mixed)
 
 
+# exact per-copy witness of the target state under its matched signs
+_BE_WITNESS_EXACT = sum(abs(v) for v in states.rho_be_lambdas_exact()) / 4
+
+
 def overhead_dimension(n_copies: int) -> int:
     """Smallest channel dimension whose separable bound reaches the
     entangled witness value; exact integer arithmetic."""
-    lams = states.rho_be_lambdas_exact()
-    per_copy = sum(abs(v) for v in lams) / 4     # matched signs
-    w_exact = per_copy**n_copies
-    return math.ceil(w_exact * Fraction(16) ** n_copies)
+    return math.ceil(_BE_WITNESS_EXACT**n_copies * 16**n_copies)

@@ -7,6 +7,9 @@ lambda_k G_k (x) G_k, with k running over flat base-16 multi-indices
 answered by the Bell-basis eigenvalue map `pauli.bell_spectrum`, exact
 for any copy count.  Densification is on demand, capped at two copies
 (256 x 256), and serves the dense oracles the tests check that map with.
+It builds only the nonzeros: each X-mask's Pauli strings are summed
+into their shared positions (4,096 of the 65,536 at two copies), then
+scattered once, and the result is checked exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -161,36 +164,43 @@ def mix_with_white_noise(state: BlochDiagonalState, v: float) -> BlochDiagonalSt
     )
 
 
-def bloch_densify(lambdas: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """sum_k lambda_k G_k (x) G_k for a basis stack (K, d, d) of Pauli
-    monomials, exactly one nonzero per row (else ValueError).  np.add.at
-    scatters the K d^2 nonzero terms (G_k[a, c] G_k[b, d]) lambda_k into
-    zeros in k order: a term-by-term Kronecker sum bit for bit, signed zeros too.
+def bloch_densify(lambdas: np.ndarray) -> np.ndarray:
+    """sum_k lambda_k G_k (x) G_k over the n-qubit Pauli strings, for
+    coefficients of length 4^n, built from its d^3 nonzeros, d = 2^n.
+
+    G_k (x) G_k is nonzero only at row (a, b), column (a ^ x, b ^ x), x
+    the X-mask of k (`pauli.pauli_monomials`).  For every X-mask the
+    terms (G_k[a, a ^ x] G_k[b, b ^ x]) lambda_k of its 2^n strings are
+    added into zeros in k order, then one assignment scatters them: the
+    term-by-term Kronecker sum bit for bit, signed zeros too.  For finite
+    lambdas that sum is exactly Hermitian; anything else is a ValueError.
     """
-    basis = np.asarray(basis)
-    if np.any(np.count_nonzero(basis, axis=2) != 1):
-        raise ValueError("basis elements need exactly one nonzero entry per row")
-    cols = np.argmax(basis != 0, axis=2)
-    vals = np.take_along_axis(basis, cols[..., None], axis=2)[..., 0]
-    terms = (vals[:, :, None] * vals[:, None, :]) * np.asarray(lambdas)[:, None, None]
-    d = basis.shape[1]
-    # G_k (x) G_k is nonzero at row a d + b, column cols[k, a] d + cols[k, b]
-    flat = np.arange(d * d).reshape(d, d) * d * d + cols[:, :, None] * d + cols[:, None, :]
-    out = np.zeros(d**4, dtype=terms.dtype)
-    np.add.at(out, flat.ravel(), terms.ravel())
+    lam = np.asarray(lambdas, dtype=float)
+    n = (lam.size.bit_length() - 1) // 2
+    if lam.shape != (4**n,):
+        raise ValueError(f"coefficient vector of shape {lam.shape} is not of length 4^n")
+    by_mask, values = pauli.pauli_monomials(n)
+    d = 2**n
+    acc = np.zeros((d, d, d), dtype=complex)     # acc[x, a, b]
+    for ks in by_mask.T:                         # the j-th string of every X-mask
+        acc += (values[ks, :, None] * values[ks, None, :]) * lam[ks, None, None]
+    x, a, b = np.ogrid[:d, :d, :d]
+    # the mirror of entry (a, b), (a ^ x, b ^ x) has the same X-mask
+    if not np.array_equal(acc, acc[x, a ^ x, b ^ x].conj()):
+        raise ValueError("densified state is not exactly Hermitian")
+    out = np.zeros((d, d, d, d), dtype=complex)
+    out[a, b, a ^ x, b ^ x] = acc
     return out.reshape(d * d, d * d)
 
 
 def densify(state: BlochDiagonalState) -> np.ndarray:
-    """Dense matrix of the state; capped at two copies."""
+    """Dense matrix of the state, exactly Hermitian; capped at two copies."""
     if state.n_copies > _DENSIFY_MAX_COPIES:
         raise ValueError(f"densify supports at most {_DENSIFY_MAX_COPIES} copies")
     want = 1.0 / 4**state.n_copies
     if abs(state.lambdas[0] - want) > 1e-12:
         raise ValueError("state normalisation violated")
-    basis = pauli.pauli_basis(2 * state.n_copies)
-    rho = bloch_densify(state.lambdas, basis)
-    return linalg.require_hermitian(rho)
+    return bloch_densify(state.lambdas)
 
 
 def realignment_computational(op: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bewitness
 from bewitness import states
 from bewitness.cli import main
 
@@ -380,3 +385,49 @@ def test_verify_builtin_state_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 3 and "FAIL" not in out
 
+
+
+def _run_in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def _run_alone(argv):
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(bewitness.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from bewitness.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def test_in_process_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    """In-process `main` calls share one parser.  A sequence of them (two
+    refusals, an --out call, a CSV call, then calls on the defaults) gives
+    for each line the stdout, stderr, exit code and --out bytes of the
+    same line run alone in a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out = tmp_path / "scaling.json"
+    sequence = (
+        (["witness", "--strategy", "classical-d4", "--n-copies", "2"], 2),
+        (["witness", "--method", "dense"], 2),
+        (["scaling", "--n-max", "2", "--seed", "4", "--out", str(out)], 0),
+        (["witness", "--method", "factored", "--samples", "64", "--seed", "3",
+          "--format", "csv"], 0),
+        (["scaling"], 0),
+        (["witness"], 0),
+    )
+    for argv, code in sequence:
+        got = _run_in_process(argv, capsys)
+        got_out = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        want = _run_alone(argv)
+        want_out = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        assert got == want and got[2] == code, argv
+        assert got_out == want_out and (got_out is None) == ("--out" not in argv), argv

@@ -133,6 +133,21 @@ def test_eigvalsh_matches_eigh_and_rejects_non_hermitian():
             "matrix is not Hermitian: max|A - A^dagger| = 1.000e+00 > 1.0e-12")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_require_hermitian_rejects_non_finite_entries(bad):
+    """A NaN defect is no defect within tolerance: one NaN or infinite
+    entry, on or off the diagonal, of one matrix in a stack is refused."""
+    for pos in ((1, 1), (0, 1)):
+        stack = np.stack([np.eye(3, dtype=complex)] * 4)
+        stack[2][pos] = bad
+        if pos != (1, 1):
+            stack[2][pos[::-1]] = np.conj(bad)
+        with np.errstate(invalid="ignore"):
+            for fn in (linalg.require_hermitian, linalg.eigh, linalg.eigvalsh):
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    fn(stack)
+
+
 def test_require_hermitian_symmetrises_within_tolerance():
     h = np.array([[1.0, 0.5 + 1e-14j], [0.5 - 2e-14j, 2.0]])
     out = linalg.require_hermitian(h)

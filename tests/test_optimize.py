@@ -225,10 +225,9 @@ def test_bell_product_eigenvalue_matrix_exactly_orthogonal():
 def test_eigenvalue_map_matches_dense_diagonalisation(d, n):
     rng = np.random.default_rng(31)
     c = joint_eigenvalue_matrix(d)
-    basis = pauli.pauli_basis(n)
     for _ in range(3):
         lam = rng.normal(size=d * d) * 0.1
-        dense = states.bloch_densify(lam, basis)
+        dense = states.bloch_densify(lam)
         want = np.sort(np.linalg.eigvalsh(dense))
         got = np.sort(c @ lam)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -242,7 +241,7 @@ def test_psd_projection_matches_dense_clip(d, n):
     for _ in range(3):
         lam = rng.normal(size=d * d) * 0.1
         proj = poly.project_psd_rows(lam[None])[0]
-        dense = states.bloch_densify(lam, basis)
+        dense = states.bloch_densify(lam)
         w, v = np.linalg.eigh(dense)
         clipped = (v * np.maximum(w, 0.0)) @ v.conj().T
         # re-read the coefficients off the clipped operator
@@ -259,7 +258,7 @@ def test_psd_pt_projection_matches_dense_route():
     rng = np.random.default_rng(41)
     lam = rng.normal(size=16) * 0.1
     proj = poly.project_psd_pt_rows(lam[None])[0]
-    dense = states.bloch_densify(lam, basis)
+    dense = states.bloch_densify(lam)
     pt = linalg.partial_transpose(dense, d, d)
     w, v = np.linalg.eigh(pt)
     clipped = (v * np.maximum(w, 0.0)) @ v.conj().T

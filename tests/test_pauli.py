@@ -63,13 +63,35 @@ def test_pauli_basis_digit_order(n):
         assert np.array_equal(basis[k], linalg.kron_all([pauli._SIGMA[d] for d in digits]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_monomials_are_the_basis_nonzeros(n):
+    """G_k[a, a ^ x] = values[k, a] bit for bit and every other entry is
+    (a signed) zero, with by_mask[x] the strings of X-mask x in ascending
+    k; the cached table is read only."""
+    by_mask, values = pauli.pauli_monomials(n)
+    basis = pauli.pauli_basis(n)
+    rows = np.arange(2**n)
+    rebuilt = np.zeros_like(basis)
+    for x, ks in enumerate(by_mask):
+        assert np.all(np.diff(ks) > 0)
+        entries = basis[ks][:, rows, rows ^ x]
+        assert entries.tobytes() == values[ks].tobytes()
+        rebuilt[ks[:, None], rows, rows ^ x] = entries
+    assert sorted(by_mask.ravel()) == list(range(4**n))
+    assert np.array_equal(rebuilt, basis)
+    assert pauli.pauli_monomials(n) is pauli.pauli_monomials(n)
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0] = 0
+
+
 def test_pauli_basis_range():
     # the stack has 16^n entries: 5 qubits reach KRON_ENTRY_CAP exactly
     assert 16**5 == linalg.KRON_ENTRY_CAP
     assert pauli.pauli_basis(5).shape == (4**5, 2**5, 2**5)
     for n in (0, 6, 9):
-        with pytest.raises(ValueError, match="16\\^n_qubits"):
-            pauli.pauli_basis(n)
+        for build in (pauli.pauli_basis, pauli.pauli_monomials):
+            with pytest.raises(ValueError, match="16\\^n_qubits"):
+                build(n)
 
 
 def test_m_matrix_exact_identity():

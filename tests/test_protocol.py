@@ -346,6 +346,15 @@ def test_integer_witness_refuses_non_integral_tables():
         verify.integer_witness(strat, task)
 
 
+def test_strategy_rejects_a_nan_decoder(strat):
+    """A NaN decoder has NaN spectra, which no bound on them catches; the
+    Hermiticity check refuses it before the witness can become NaN."""
+    dec = np.array(strat.decoders_a)
+    dec[3, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dataclasses.replace(strat, decoders_a=dec)
+
+
 def test_prepared_strategies_single_copy_only():
     strat = classical_optimal_strategy_d4()
     with pytest.raises(ValueError, match="single copy"):

@@ -27,13 +27,12 @@ def test_target_spectrum_and_ppt():
 
 def test_ccnr_fast_path_matches_realignment():
     """sum|lambda| against the dense realignment trace norm."""
-    basis = pauli.pauli_basis(2)
     rng = np.random.default_rng(5)
     for _ in range(100):
         lam = rng.normal(size=16) * 0.05
         lam[0] = 0.25
         st = states.BlochDiagonalState(n_copies=1, lambdas=lam)
-        dense = states.ccnr(states.bloch_densify(lam, basis))
+        dense = states.ccnr(states.bloch_densify(lam))
         assert abs(st.ccnr_fast() - dense) < 1e-10
 
 
@@ -47,22 +46,45 @@ def test_bloch_densify_matches_literal_sum(n_qubits, lam):
     """Bit for bit, signed zeros included, against the Kronecker sum."""
     basis = pauli.pauli_basis(n_qubits)
     literal = sum(l * np.kron(g, g) for l, g in zip(lam, basis))
-    got = states.bloch_densify(lam, basis)
+    got = states.bloch_densify(lam)
     assert np.array_equal(got.view(np.int64), literal.view(np.int64))
 
 
-def test_bloch_densify_rejects_non_monomial_basis():
-    """The Pauli basis rotated by pi/4 about Y is Hermitian and
-    orthonormal, but X and Z become (X +- Z)/sqrt(2), with two entries of
-    size 1/2 in every row.  (A Hadamard rotation would only permute the
-    Paulis.)"""
-    c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
-    r = np.array([[c, -s], [s, c]])
-    basis = r @ pauli.pauli_basis(1) @ r.T
-    assert np.allclose(basis, np.conj(np.swapaxes(basis, 1, 2)))
-    assert np.count_nonzero(np.abs(basis) > 0.4, axis=2).max() == 2
-    with pytest.raises(ValueError, match="one nonzero entry per row"):
-        states.bloch_densify(states.rho_be().lambdas[:4], basis)
+def _random_state(rng, n_copies):
+    lam = rng.normal(size=16**n_copies) / 4**n_copies
+    lam[0] = 1 / 4**n_copies
+    return states.BlochDiagonalState(n_copies=n_copies, lambdas=lam)
+
+
+@pytest.mark.parametrize("state,nonzeros", [
+    (states.tensor_power(states.rho_be(), 2), 1792),
+    (_random_state(np.random.default_rng(21), 1), 64),
+    (_random_state(np.random.default_rng(22), 2), 4096),
+    (states.mix_with_white_noise(states.tensor_power(states.rho_be(), 2), 0.0), 256),
+], ids=["rho_be-squared", "random-1", "random-2", "white-noise-2"])
+def test_densify_is_the_symmetrised_kronecker_sum(state, nonzeros):
+    """`densify` equals, byte for byte, the literal Kronecker sum passed
+    through `require_hermitian`'s (A + A^dagger)/2, is exactly Hermitian,
+    and has nonzeros only among the d^3 entries its X-masks reach: all of
+    them for random coefficients, fewer where terms cancel."""
+    basis = pauli.pauli_basis(2 * state.n_copies)
+    literal = sum(l * np.kron(g, g) for l, g in zip(state.lambdas, basis))
+    got = states.densify(state)
+    want = linalg.require_hermitian(literal)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got, got.conj().T)
+    assert np.count_nonzero(got) == nonzeros
+
+
+def test_bloch_densify_refuses_a_matrix_that_is_not_exactly_hermitian():
+    """Finite coefficients always give an exactly Hermitian sum; a NaN
+    coefficient does not, and is refused."""
+    lam = np.full(16, 0.1)
+    lam[5] = np.nan
+    with pytest.raises(ValueError, match="not exactly Hermitian"):
+        states.bloch_densify(lam)
+    with pytest.raises(ValueError, match="length 4\\^n"):
+        states.bloch_densify(np.ones(8))
 
 
 def test_realignment_computational_preserves_singular_values():
