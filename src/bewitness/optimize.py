@@ -2,9 +2,11 @@
 
 Two families live here.  The see-saw alternates closed-form block
 updates (states are top-eigenvector projectors of their effective
-operators, measurements are sign-projector products), driving the
-witness monotonically upward; quantum restarts run in lockstep rows and
-sums over the +-1 table f(x, z) are real GEMMs.  The CCNR search does projected
+operators, fed the other side's correlations; measurements are
+sign-projector products), driving the witness monotonically upward;
+quantum restarts run in lockstep rows and sums over the +-1 table
+f(x, z) are real GEMMs; a classical restart is one loop over steps that
+cycles through three integer-scored moves.  The CCNR search does projected
 subgradient ascent of sum_k s_k lambda_k over Bloch-diagonal PPT states
 in rounds at fixed signs s.  A round ends at max_iters steps or at the first
 certified step that leaves its iterate in place (s is then in the normal cone,
@@ -22,9 +24,10 @@ matrix-vector products each.
 Each ascent step projects back onto the PPT polytope exactly, by a
 primal-dual active-set solve in eigenvalue coordinates that is accepted
 only where it certifies its own KKT conditions.  Dykstra's alternating
-projections remain for the one-time pull-in from the random start, for
-steps whose certificate fails, and for every step at d = 16, where the
-exact step's linear systems cost more than the sweeps they save.
+projections (increments for the two positivity sets; the affine trace
+set needs none) remain for the one-time pull-in from the random start,
+for steps whose certificate fails, and for every step at d = 16, where
+the exact step's linear systems cost more than the sweeps they save.
 """
 
 from __future__ import annotations
@@ -205,24 +208,19 @@ def optimal_measurement(
 
 def optimal_states_given_measurement(
     dec_self: np.ndarray,
-    dec_other: np.ndarray,
-    other_states: np.ndarray,
+    other_correlations: np.ndarray,
     signs: np.ndarray,
-    *,
-    other_correlations: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form state half-step: rank-1 projector onto the top
     eigenvector of each effective operator.
 
     With product decoders the witness is W = sum_x tr(tau_x A_x), where
     the partial trace collapses to a scalar:
-    A_x = (1/16^3) sum_z s_z f_xz c_z M_self_z, c_z = tr(O_other_z M_other_z),
-    which `other_correlations` passes in when the caller has it.  Ties
-    inherit the eigendecomposition's deterministic ordering.  The witness
-    cannot decrease under this update.
+    A_x = (1/16^3) sum_z s_z f_xz c_z M_self_z, with the other side's
+    correlations c_z = tr(O_other_z M_other_z) passed in.  Ties inherit
+    the eigendecomposition's deterministic ordering.  The witness cannot
+    decrease under this update.
     """
-    if other_correlations is None:
-        other_correlations = _correlations(_f_sum(other_states), dec_other)
     weight = (signs * other_correlations)[..., None, None]
     eff = _WITNESS_SCALE * _f_sum(weight * np.asarray(dec_self))
     return _projectors(linalg.eigh(eff).eigenvectors[..., 0])
@@ -265,6 +263,14 @@ def _diag_o(levels: np.ndarray, dim: int) -> np.ndarray:
     return pauli.F_TABLE.T @ np.eye(dim, dtype=np.int64)[levels]
 
 
+def _argmax(scores: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of the largest score.  Scores are exact integers, so ties are
+    common; the restart generator picks among them, which keeps restarts
+    from collapsing onto one pattern."""
+    tied = np.flatnonzero(scores == scores.max())
+    return int(tied[rng.integers(tied.size)])
+
+
 def _classical_sweep(
     levels: np.ndarray,
     other_norms: np.ndarray,
@@ -276,21 +282,15 @@ def _classical_sweep(
     The objective is the witness with the measurement implicitly
     re-optimised: sum_z ||O_self_z||_1 ||O_other_z||_1, where for
     diagonal O the trace norm is just the absolute column sum.  Each
-    input in turn moves to its best level.  Scores are integers, so
-    exact ties are common; they are broken with the restart generator
-    to keep restarts from collapsing onto one pattern.
+    input in turn moves to its best level, scored by the change of that
+    objective (the part common to every level leaves the argmax alone).
     """
     diag = _diag_o(levels, dim)
     for x in range(16):
         f_row = pauli.F_TABLE[x, :]
         diag[:, levels[x]] -= f_row
-        # candidate scores, one column per level: exact integers
-        base = np.sum(np.abs(diag), axis=1, keepdims=True)        # (16, 1)
         delta = np.abs(diag + f_row[:, None]) - np.abs(diag)     # (16, dim)
-        scores = other_norms @ (base + delta)
-        tied = np.flatnonzero(scores == scores.max())
-        best = int(tied[rng.integers(tied.size)])
-        levels[x] = best
+        levels[x] = best = _argmax(other_norms @ delta, rng)
         diag[:, best] += f_row
     return levels
 
@@ -306,18 +306,12 @@ def _classical_fixed_step(
     The decoder of each correlation observable is the diagonal sign of
     the observable itself, so the witness sign s_z cancels out of the
     score (s_z^2 = 1) and the update is the same for every sign
-    pattern.  Ties are broken with the restart generator.
+    pattern.
     """
-    diag = _diag_o(levels, dim)
-    dec = np.where(diag < 0, -1, 1).astype(float)
+    dec = np.where(_diag_o(levels, dim) < 0, -1, 1).astype(float)
     weight = other_norms[None, :] * pauli.F_TABLE.astype(float)  # (x, z)
     scores = weight @ dec                                        # (x, level)
-    out = np.empty(16, dtype=np.int64)
-    for x in range(16):
-        row = scores[x]
-        tied = np.flatnonzero(row == row.max())
-        out[x] = int(tied[rng.integers(tied.size)])
-    return out
+    return np.array([_argmax(row, rng) for row in scores], dtype=np.int64)
 
 
 def _classical_swap_sweep(
@@ -372,48 +366,40 @@ def _classical_restart(
     Tracks the witness with the measurement re-optimised after every
     update, so the value is monotone across all three move kinds: the
     argmax step against frozen decoders lower-bounds it and the sweep
-    and exchange moves increase it directly.  Phases cycle until a full
-    cycle brings no improvement.  Returns (levels_a, levels_b, value,
-    cycles, converged, flagged), the value scored in exact integers.
+    and exchange moves increase it directly.  Each step applies the
+    current phase's move to both sides; a phase ends at its first step
+    that gains less than `tol`, and a turn through the three phases that
+    gains less than `tol` converges the restart (not checked at the step
+    cap).  Returns (levels_a, levels_b, value, steps, converged,
+    flagged), the value scored in exact integers.
     """
     rng = np.random.default_rng([cfg.seed, restart])
     d = cfg.channel_dim
     levels_a = rng.integers(0, d, size=16)
     levels_b = rng.integers(0, d, size=16)
-    norms_a = _classical_norms(levels_a, d)
     norms_b = _classical_norms(levels_b, d)
-    w = _WITNESS_SCALE * float(np.dot(norms_a, norms_b))
-    converged = False
-    flagged = False
-    iters = 0
+    w = w_turn = _WITNESS_SCALE * float(np.dot(_classical_norms(levels_a, d), norms_b))
     phases = (_classical_fixed_step, _classical_sweep, _classical_swap_sweep)
-    for _ in range(cfg.max_iters):
-        w_cycle_start = w
-        for step in phases:
-            for _ in range(cfg.max_iters):
-                if iters >= cfg.max_iters:
-                    break
-                iters += 1
-                levels_a = step(levels_a, norms_b, d, rng)
-                norms_a = _classical_norms(levels_a, d)
-                levels_b = step(levels_b, norms_a, d, rng)
-                norms_b = _classical_norms(levels_b, d)
-                w_new = _WITNESS_SCALE * float(np.dot(norms_a, norms_b))
-                if w_new < w - MONOTONE_SLACK:
-                    flagged = True
-                    break
-                improved = w_new - w >= cfg.tol
-                w = w_new
-                if not improved:
-                    break
-            if flagged:
-                break
-        if flagged or iters >= cfg.max_iters:
-            break
-        if w - w_cycle_start < cfg.tol:
-            converged = True
-            break
-    return levels_a, levels_b, w, iters, converged, flagged
+    phase = iters = 0
+    while iters < cfg.max_iters:
+        iters += 1
+        levels_a = phases[phase](levels_a, norms_b, d, rng)
+        norms_a = _classical_norms(levels_a, d)
+        levels_b = phases[phase](levels_b, norms_a, d, rng)
+        norms_b = _classical_norms(levels_b, d)
+        w_new = _WITNESS_SCALE * float(np.dot(norms_a, norms_b))
+        if w_new < w - MONOTONE_SLACK:
+            return levels_a, levels_b, w, iters, False, True
+        gained = w_new - w >= cfg.tol
+        w = w_new
+        if gained:
+            continue
+        phase = (phase + 1) % len(phases)
+        if phase == 0:
+            if iters < cfg.max_iters and w - w_turn < cfg.tol:
+                return levels_a, levels_b, w, iters, True, False
+            w_turn = w
+    return levels_a, levels_b, w, iters, False, False
 
 
 def _classical_rows(cfg: SeesawConfig, signs: np.ndarray) -> tuple:
@@ -457,18 +443,16 @@ def _seesaw_rows(cfg: SeesawConfig, signs: np.ndarray) -> tuple:
         if drop.any():
             settle(drop, it, "flagged")
 
-    update = optimal_states_given_measurement
     for it in range(1, cfg.max_iters + 1):
         if s.rows.size == 0:
             break
         s.w_start = s.w
         # O operators and correlations carry over; each check redoes one side
-        s.sa = update(s.dec_a, s.dec_b, s.sb, signs, other_correlations=s.c_b)
+        s.sa = optimal_states_given_measurement(s.dec_a, s.c_b, signs)
         s.o_a = _f_sum(s.sa)
         s.c_a = _correlations(s.o_a, s.dec_a)
         check(it)
-        # B-side effective operators use the A states and swapped decoders
-        s.sb = update(s.dec_b, s.dec_a, s.sa, signs, other_correlations=s.c_a)
+        s.sb = optimal_states_given_measurement(s.dec_b, s.c_a, signs)
         s.o_b = _f_sum(s.sb)
         s.c_b = _correlations(s.o_b, s.dec_b)
         check(it)
@@ -516,9 +500,9 @@ def seesaw_classical(
 
 # The exact step solves one (K+1)-square system per row and active-set
 # iteration.  On check 10's d = 8 config (K = 64, seeds 0-2, 2-core Xeon)
-# it took 5-9 s against 22-37 s for Dykstra alone; at d = 16 (K = 256)
-# six restarts of 100 steps took 20 s against 10 s.  So only K up to 64
-# tries it.
+# it took 5-9 s against 22-37 s for Dykstra alone; at d = 16 (K = 256),
+# on check 10's config (seed 0), 313 s against 160 s.  So only K up to
+# 64 tries it.
 _EXACT_MAX_K = 64
 # rows still uncertified after this many active-set iterations go to
 # Dykstra; 20 instead certified only 0.2% more of 3,000 d = 8 row-steps
@@ -546,7 +530,6 @@ class _BlochPolytope:
     """
 
     def __init__(self, local_dim: int):
-        self.local_dim = local_dim
         self.c = joint_eigenvalue_matrix(local_dim)
         n = local_dim.bit_length() - 1
         self.t = pauli.pauli_transpose_signs(n).astype(float)
@@ -569,14 +552,14 @@ class _BlochPolytope:
         self, lam: np.ndarray, cap: int, tol: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Dykstra on every row at once; rows freeze as they converge.
-        Returns (points, converged mask)."""
+        Returns (points, converged mask).  The affine trace set needs no
+        increment: it would touch only lambda_0, which the set overwrites."""
         out = lam.copy()
         rows = np.arange(lam.shape[0])
         converged = np.zeros(lam.shape[0], bool)
         x = lam
         p1 = np.zeros_like(x)
         p2 = np.zeros_like(x)
-        p3 = np.zeros_like(x)
         for _ in range(cap):
             if rows.size == 0:
                 break
@@ -584,9 +567,8 @@ class _BlochPolytope:
             p1 = x + p1 - y1
             y2 = self.project_psd_pt_rows(y1 + p2)
             p2 = y1 + p2 - y2
-            y3 = y2 + p3
+            y3 = y2 + 0.0  # -0.0 to +0.0, as adding the zero increment did
             y3[:, 0] = self.id_coeff
-            p3 = y2 + p3 - y3
             drift = np.max(np.abs(y3 - x), axis=1)
             x = y3
             done = drift < tol
@@ -598,7 +580,6 @@ class _BlochPolytope:
                 x = x[keep]
                 p1 = p1[keep]
                 p2 = p2[keep]
-                p3 = p3[keep]
         if rows.size:
             out[rows] = x
         return out, converged
@@ -669,17 +650,13 @@ class _BlochPolytope:
         return out, certified
 
     def project_step_rows(
-        self,
-        lam: np.ndarray,
-        prev: np.ndarray,
-        cap: int,
-        tol: float,
-        active: np.ndarray,
+        self, lam: np.ndarray, prev: np.ndarray, active: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Project the `active` rows of one ascent step, taken from their
         `prev` rows: exactly where K is small and the solve certifies
-        itself, by Dykstra otherwise.  Other rows pass through.  Returns
-        (points, converged mask, mask of the rows handed to Dykstra).
+        itself, by Dykstra (DYKSTRA_CAP sweeps, DYKSTRA_TOL) otherwise.
+        Other rows pass through.  Returns (points, converged mask, mask
+        of the rows handed to Dykstra).
         """
         out = lam.copy()
         handed = active.copy()
@@ -691,7 +668,7 @@ class _BlochPolytope:
         converged = np.ones(lam.shape[0], bool)
         rows = np.flatnonzero(handed)
         if rows.size:
-            out[rows], converged[rows] = self.dykstra_rows(out[rows], cap, tol)
+            out[rows], converged[rows] = self.dykstra_rows(out[rows], DYKSTRA_CAP, DYKSTRA_TOL)
         return out, converged, handed
 
 
@@ -740,12 +717,9 @@ def ccnr_ascent_bloch_ppt(
     poly = _BlochPolytope(local_dim)
     r_count = cfg.n_restarts
     k = poly.c.shape[0]
-    lam = np.empty((r_count, k))
-    for r in range(r_count):
-        rng = np.random.default_rng([cfg.seed, r])
-        start = np.zeros(k)
-        start[0] = poly.id_coeff
-        lam[r] = start + 0.1 * rng.normal(size=k)
+    lam = 0.1 * np.stack([np.random.default_rng([cfg.seed, r]).normal(size=k)
+                          for r in range(r_count)])
+    lam[:, 0] += poly.id_coeff
 
     lam, conv = poly.dykstra_rows(lam, DYKSTRA_CAP * _INITIAL_PULL_FACTOR, DYKSTRA_TOL)
     flagged = ~conv
@@ -767,7 +741,7 @@ def ccnr_ascent_bloch_ppt(
         step = ASCENT_STEP0 / np.sqrt(it)
         g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
         prop = np.where(active[:, None], lam + step[:, None] * g, lam)
-        lam_new, conv, handed = poly.project_step_rows(prop, lam, DYKSTRA_CAP, DYKSTRA_TOL, active)
+        lam_new, conv, handed = poly.project_step_rows(prop, lam, active)
         flagged |= active & ~conv
         dykstra_steps += handed
         iters_used += active

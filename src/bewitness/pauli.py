@@ -65,20 +65,6 @@ BELL_SIGNS = np.array(
     dtype=np.int64,
 )
 
-def flat_from_pair(a: int, b: int) -> int:
-    """Pair (a, b) in [4]^2 -> flat index in [16]."""
-    if not (1 <= a <= 4 and 1 <= b <= 4):
-        raise ValueError(f"pair ({a}, {b}) out of range [4]^2")
-    return 4 * (a - 1) + b
-
-
-def pair_from_flat(x: int) -> tuple[int, int]:
-    """Flat index in [16] -> pair (a, b) in [4]^2."""
-    if not (1 <= x <= 16):
-        raise ValueError(f"flat index {x} out of range [16]")
-    i, j = divmod(x - 1, 4)
-    return i + 1, j + 1
-
 
 def f_coeff(x: int, z: int) -> int:
     """f_{xz} = T_{x1,z1} * T_{x2,z2} for 1-based flat indices."""

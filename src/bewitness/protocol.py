@@ -11,6 +11,7 @@ ones, matching the layout of densified Bloch-diagonal states.
 
 from __future__ import annotations
 
+import functools
 import math
 # Not used here: the benchmark tracer patches protocol.ThreadPoolExecutor by name.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -236,15 +237,29 @@ def _expectation_table(strategy: Strategy) -> np.ndarray:
     """
     ma, mb = np.asarray(strategy.decoders_a), np.asarray(strategy.decoders_b)
     if strategy.kind == "prepared_states":
-        table = np.einsum("xac,ybd,zca,zdb->xyz", strategy.states_a,
-                          strategy.states_b, ma, mb, optimize=True)
+        table = _planned_einsum("xac,ybd,zca,zdb->xyz", strategy.states_a,
+                                strategy.states_b, ma, mb)
     else:
         u, v = np.asarray(strategy.encoders_a), np.asarray(strategy.encoders_b)
         d = u.shape[-1]
         rho = states.densify(strategy.shared_state).reshape(d, d, d, d)
-        table = np.einsum("abcd,xea,xfc,zfe,ygb,yhd,zhg->xyz", rho, u, u.conj(),
-                          ma, v, v.conj(), mb, optimize=True)
+        table = _planned_einsum("abcd,xea,xfc,zfe,ygb,yhd,zhg->xyz", rho, u, u.conj(),
+                                ma, v, v.conj(), mb)
     return table.real
+
+
+@functools.lru_cache(maxsize=64)
+def _einsum_plan(subscripts: str, *shapes: tuple[int, ...]) -> tuple:
+    """The contraction order `einsum(..., optimize=True)` would plan, once
+    per subscripts and operand shapes."""
+    return tuple(np.einsum_path(subscripts, *map(np.empty, shapes), optimize=True)[0])
+
+
+def _planned_einsum(subscripts: str, *operands) -> np.ndarray:
+    """`einsum(..., optimize=True)` along its plan for these operand shapes."""
+    operands = [np.asarray(op) for op in operands]
+    return np.einsum(subscripts, *operands,
+                     optimize=_einsum_plan(subscripts, *(op.shape for op in operands)))
 
 
 def _heisenberg_factors(enc: np.ndarray, dec: np.ndarray, inputs: np.ndarray,

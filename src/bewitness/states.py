@@ -51,7 +51,9 @@ class BlochDiagonalState:
         object.__setattr__(self, "lambdas", lam)
         if self.n_copies < 1:
             raise ValueError("n_copies must be >= 1")
-        if lam.shape != (16**self.n_copies,):
+        # bit lengths first: 16**n_copies is costly for a huge copy count
+        if (lam.ndim != 1 or lam.size.bit_length() != 4 * self.n_copies + 1
+                or lam.size != 16**self.n_copies):
             raise ValueError(
                 f"lambda vector has length {lam.shape}, expected 16^{self.n_copies}"
             )
@@ -308,7 +310,7 @@ def state_from_dict(data) -> BlochDiagonalState:
         raise ValueError(f"lambdas must be a list of numbers, got {type(lambdas).__name__}")
     try:
         lambdas = np.array(lambdas, dtype=float)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"lambdas must be a list of numbers: {exc}") from exc
     return BlochDiagonalState(n_copies=n_copies, lambdas=lambdas)
 

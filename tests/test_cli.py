@@ -109,6 +109,12 @@ REFUSALS = {
         "state-info", "--state", _state_file(tmp, fields={"n_copies": 1.5})],
     "state-info-string-copies": lambda tmp: [
         "state-info", "--state", _state_file(tmp, fields={"n_copies": "1"})],
+    "state-info-float-overflow": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, entry=(3, 10**400))],
+    "state-info-huge-copies": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, fields={"n_copies": 10**8})],
+    "verify-float-overflow": lambda tmp: [
+        "verify", "--state", _state_file(tmp, entry=(3, 10**400))],
     "verify-top-level-list": lambda tmp: ["verify", "--state", _json_file(tmp, [])],
     "verify-lambdas-object": lambda tmp: [
         "verify", "--state", _state_file(tmp, fields={"lambdas": {}})],

@@ -24,6 +24,12 @@ def _witness_product_decoders(states_a, states_b, dec_a, dec_b, signs):
     return float(optimize._witness(ta, tb, signs))
 
 
+def _half_step(dec_self, dec_other, other_states, signs):
+    """A state half-step fed the other side's correlations from its states."""
+    c_other = optimize._correlations(optimize._f_sum(other_states), dec_other)
+    return optimal_states_given_measurement(dec_self, c_other, signs)
+
+
 def _random_pure_states(rng, dim, count=16):
     out = []
     for _ in range(count):
@@ -100,7 +106,7 @@ def test_state_update_is_monotone():
         sb = _random_pure_states(rng, 4)
         dec_a, dec_b = optimal_measurement(sa, sb, signs)
         before = _witness_product_decoders(sa, sb, dec_a, dec_b, signs)
-        sa_new = optimal_states_given_measurement(dec_a, dec_b, sb, signs)
+        sa_new = _half_step(dec_a, dec_b, sb, signs)
         after = _witness_product_decoders(sa_new, sb, dec_a, dec_b, signs)
         assert after >= before - 1e-10
 
@@ -136,6 +142,86 @@ def test_classical_rows_match_single_restart_scoring_bitwise(d, n_restarts):
             assert np.array_equal(got[r].view(np.int64), want.view(np.int64))
 
 
+def _reference_sweep(levels, other_norms, dim, rng):
+    """The coordinate sweep scoring each level with the objective's common
+    part (`base`) included, as it once did."""
+    diag = optimize._diag_o(levels, dim)
+    for x in range(16):
+        f_row = pauli.F_TABLE[x, :]
+        diag[:, levels[x]] -= f_row
+        base = np.sum(np.abs(diag), axis=1, keepdims=True)
+        delta = np.abs(diag + f_row[:, None]) - np.abs(diag)
+        scores = other_norms @ (base + delta)
+        tied = np.flatnonzero(scores == scores.max())
+        levels[x] = best = int(tied[rng.integers(tied.size)])
+        diag[:, best] += f_row
+    return levels
+
+
+def _reference_classical_restart(cfg, restart):
+    """A classical restart as three nested loops (turns, phases, steps), the
+    form the one-loop `_classical_restart` replaced; same return tuple."""
+    rng = np.random.default_rng([cfg.seed, restart])
+    d = cfg.channel_dim
+    levels_a = rng.integers(0, d, size=16)
+    levels_b = rng.integers(0, d, size=16)
+    norms_a = optimize._classical_norms(levels_a, d)
+    norms_b = optimize._classical_norms(levels_b, d)
+    w = optimize._WITNESS_SCALE * float(np.dot(norms_a, norms_b))
+    converged = flagged = False
+    iters = 0
+    moves = (optimize._classical_fixed_step, _reference_sweep, optimize._classical_swap_sweep)
+    for _ in range(cfg.max_iters):
+        w_turn = w
+        for move in moves:
+            for _ in range(cfg.max_iters):
+                if iters >= cfg.max_iters:
+                    break
+                iters += 1
+                levels_a = move(levels_a, norms_b, d, rng)
+                norms_a = optimize._classical_norms(levels_a, d)
+                levels_b = move(levels_b, norms_a, d, rng)
+                norms_b = optimize._classical_norms(levels_b, d)
+                w_new = optimize._WITNESS_SCALE * float(np.dot(norms_a, norms_b))
+                if w_new < w - optimize.MONOTONE_SLACK:
+                    flagged = True
+                    break
+                improved = w_new - w >= cfg.tol
+                w = w_new
+                if not improved:
+                    break
+            if flagged:
+                break
+        if flagged or iters >= cfg.max_iters:
+            break
+        if w - w_turn < cfg.tol:
+            converged = True
+            break
+    return levels_a, levels_b, w, iters, converged, flagged
+
+
+@pytest.mark.parametrize("slack", [None, -1e-4])
+def test_classical_restart_matches_nested_loop_reference(monkeypatch, slack):
+    # a negative slack flags every step that gains nothing
+    if slack is not None:
+        monkeypatch.setattr(optimize, "MONOTONE_SLACK", slack)
+    stops = set()
+    for d in (2, 4, 16):
+        for cap in (1, 2, 3, 7, 500):
+            for seed in range(4):
+                cfg = SeesawConfig(channel_dim=d, max_iters=cap, seed=seed)
+                for r in range(3):
+                    got = optimize._classical_restart(cfg, r)
+                    want = _reference_classical_restart(cfg, r)
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                    assert float(got[2]).hex() == float(want[2]).hex()
+                    assert got[3:] == want[3:], (d, cap, seed, r)
+                    stops.add((got[3] == cap,) + got[4:])
+    # capped, converged and (with the slack) flagged restarts all occur
+    assert stops == ({(True, False, False), (False, True, False)} if slack is None
+                     else {(True, False, False), (False, False, True), (True, False, True)})
+
+
 def test_seesaw_quantum_sound_at_d4():
     rep = seesaw_quantum(SeesawConfig(channel_dim=4, n_restarts=2, max_iters=60))
     assert rep.best_value >= 0.24
@@ -163,9 +249,9 @@ def _reference_restart(cfg, restart, signs):
         w_start = w
         for half in ("a", "b", "measurement"):
             if half == "a":
-                sa = optimal_states_given_measurement(da, db, sb, signs)
+                sa = _half_step(da, db, sb, signs)
             elif half == "b":
-                sb = optimal_states_given_measurement(db, da, sa, signs)
+                sb = _half_step(db, da, sa, signs)
             else:
                 da, db = optimal_measurement(sa, sb, signs)
             w_new = _witness_product_decoders(sa, sb, da, db, signs)
@@ -287,6 +373,58 @@ def test_dykstra_output_is_feasible():
     assert np.max(np.abs(out[:, 0] - 0.25)) < 1e-12
 
 
+def _reference_dykstra(poly, lam, cap, tol):
+    """Dykstra with an increment for the trace set too, as `dykstra_rows`
+    once ran it; same return pair."""
+    out = lam.copy()
+    rows = np.arange(lam.shape[0])
+    converged = np.zeros(lam.shape[0], bool)
+    x = lam
+    p1, p2, p3 = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    for _ in range(cap):
+        if rows.size == 0:
+            break
+        y1 = poly.project_psd_rows(x + p1)
+        p1 = x + p1 - y1
+        y2 = poly.project_psd_pt_rows(y1 + p2)
+        p2 = y1 + p2 - y2
+        y3 = y2 + p3
+        y3[:, 0] = poly.id_coeff
+        p3 = y2 + p3 - y3
+        done = np.max(np.abs(y3 - x), axis=1) < tol
+        x = y3
+        if done.any():
+            out[rows] = x
+            converged[rows[done]] = True
+            rows, x, p1, p2, p3 = rows[~done], x[~done], p1[~done], p2[~done], p3[~done]
+    out[rows] = x
+    return out, converged
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_dykstra_matches_reference_with_trace_increment_bitwise(d):
+    poly = _BlochPolytope(d)
+    rng = np.random.default_rng(47)
+    start = 0.1 * rng.normal(size=(8, d * d))
+    start[:, 0] += poly.id_coeff
+    # a row whose every eigenvalue clips to zero: after one sweep it is the
+    # identity coefficient and zeros, +0.0 where the partial transpose gives -0.0
+    start[-1] = 0.0
+    start[-1, 0] = -1.0
+    for cap, tol in ((1, 1e-11), (3, 1e-11), (optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL),
+                     (20000, 1e-13)):
+        got, got_conv = poly.dykstra_rows(start, cap, tol)
+        want, want_conv = _reference_dykstra(poly, start, cap, tol)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got_conv, want_conv)
+    # feasible rows from the pull-in, then one ascent-like step each
+    prop, _ = _proposals(poly, 3, rows=6, step=0.2)
+    got, got_conv = poly.dykstra_rows(prop, optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL)
+    want, want_conv = _reference_dykstra(poly, prop, optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got_conv, want_conv)
+
+
 def test_ccnr_ascent_reaches_target_at_d4():
     rep = ccnr_ascent_bloch_ppt(4, AscentConfig(n_restarts=3, max_iters=300))
     assert rep.best_value >= 1.4999
@@ -384,8 +522,8 @@ def test_uncertified_row_goes_to_dykstra():
     _, certified = poly.project_exact_rows(prop, prev)
     assert not certified[0]
     active = np.ones(1, bool)
-    out, converged, handed = poly.project_step_rows(prop, prev, 500, 1e-11, active)
-    ref, ref_converged = poly.dykstra_rows(prop, 500, 1e-11)
+    out, converged, handed = poly.project_step_rows(prop, prev, active)
+    ref, ref_converged = poly.dykstra_rows(prop, optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL)
     assert handed[0]
     assert np.array_equal(out, ref)
     assert np.array_equal(converged, ref_converged)
@@ -441,8 +579,7 @@ def _reference_ascent(d, cfg, stalls=None):
             step = optimize.ASCENT_STEP0 / np.sqrt(it)
             g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
             prop = np.where(active[:, None], lam + step * g, lam)
-            new, _, handed = poly.project_step_rows(
-                prop, lam, optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL, active)
+            new, _, handed = poly.project_step_rows(prop, lam, active)
             stalled = active & ~handed & (np.abs(new - lam).max(axis=1) <= optimize.STALL_TOL)
             if stalls is not None:
                 stalls.extend((lam[r], g[r], step) for r in np.flatnonzero(stalled & ~seen))

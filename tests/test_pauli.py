@@ -129,18 +129,6 @@ def test_w_value_input_validation():
         pauli.w_value([1], [1], [5], bad)
 
 
-def test_flat_pair_roundtrip():
-    for x in range(1, 17):
-        a, b = pauli.pair_from_flat(x)
-        assert pauli.flat_from_pair(a, b) == x
-    assert pauli.flat_from_pair(1, 1) == 1
-    assert pauli.flat_from_pair(4, 4) == 16
-    with pytest.raises(ValueError):
-        pauli.pair_from_flat(0)
-    with pytest.raises(ValueError):
-        pauli.flat_from_pair(5, 1)
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_transpose_signs_match_dense_transpose(n):
     basis = pauli.pauli_basis(n)

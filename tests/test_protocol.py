@@ -141,6 +141,23 @@ def test_factored_table_matches_dense_table():
         assert np.max(np.abs(factored - dense[x, y, z])) < 1e-14
 
 
+def test_planned_table_matches_per_call_planning_bitwise(rho):
+    """The one-copy table contracted along a cached plan against an einsum
+    that plans on every call, for both strategy kinds."""
+    ent = protocol.be_strategy(rho)
+    u, v, ma, mb = ent.encoders_a, ent.encoders_b, ent.decoders_a, ent.decoders_b
+    prep = classical_optimal_strategy_d4()
+    cases = (
+        (ent, "abcd,xea,xfc,zfe,ygb,yhd,zhg->xyz",
+         (states.densify(rho).reshape(4, 4, 4, 4), u, u.conj(), ma, v, v.conj(), mb)),
+        (prep, "xac,ybd,zca,zdb->xyz",
+         (prep.states_a, prep.states_b, prep.decoders_a, prep.decoders_b)),
+    )
+    for strategy, subscripts, operands in cases:
+        want = np.einsum(subscripts, *operands, optimize=True).real
+        assert protocol._expectation_table(strategy).tobytes() == want.tobytes()
+
+
 def test_entangled_strategy_validates_its_shared_state(rho, strat):
     with pytest.raises(ValueError, match="needs shared state"):
         dataclasses.replace(strat, shared_state=None)
