@@ -6,11 +6,15 @@ operators, fed the other side's correlations; measurements are
 sign-projector products), driving the witness monotonically upward;
 quantum restarts run in lockstep rows and sums over the +-1 table
 f(x, z) are real GEMMs; a classical restart is one loop over steps that
-cycles through three integer-scored moves.  The CCNR search does projected
-subgradient ascent of sum_k s_k lambda_k over Bloch-diagonal PPT states
-in rounds at fixed signs s.  A round ends at max_iters steps or at the first
-certified step that leaves its iterate in place (s is then in the normal cone,
-so later steps would too); each restart row refreshes its signs on its own.
+cycles through three integer-scored moves.  The CCNR search maximises
+sum_k |lambda_k| over Bloch-diagonal PPT states in rounds at fixed signs s.
+A round is a linear program, max s . lambda over the polytope, climbed by
+projected gradient steps: an exact projection gains at any step length
+(Calamai & More, Math. Prog. 39, 1987), so the step stays fixed until a step
+of the round goes to Dykstra's approximate projection, and then shrinks.  A
+round ends at max_iters steps or at the first certified step that leaves its
+iterate in place (s is then in the normal cone, so later steps would too);
+each restart row refreshes its signs on its own.
 
 The feasible set of the CCNR search is handled in coefficient space.
 The operators G_k (x) G_k pairwise commute (Pauli strings commute or
@@ -69,7 +73,9 @@ class SeesawConfig:
         return asdict(self)
 
 
-# CCNR ascent: step ASCENT_STEP0 / sqrt(iteration); sweep cap and
+# CCNR ascent: step ASCENT_STEP0 / sqrt(1 + n), n the steps of the round
+# so far handed to Dykstra (at d = 16, every step: the 1/sqrt(step)
+# schedule that capped, approximate projections need); sweep cap and
 # tolerance of each Dykstra projection; coefficients within
 # SIGN_ZERO_TOL of zero (Dykstra leaves ~1e-12 at a vertex) keep their sign
 ASCENT_STEP0 = 0.1
@@ -77,7 +83,8 @@ DYKSTRA_CAP = 500
 DYKSTRA_TOL = 1e-11
 SIGN_ZERO_TOL = 1e-10
 # a certified step moving a row by at most this (max-abs) ends its round:
-# on 240 d = 4 rows no later step of a stalled round moved it beyond 3.7e-15
+# on 240 d = 4 rows (the ccnr-ascent benchmark job, seeds 0-29) run to full
+# rounds, no later step of a stalled round moved it beyond 1.6e-16
 STALL_TOL = 1e-12
 
 
@@ -495,17 +502,19 @@ def seesaw_classical(
 
 
 # ---------------------------------------------------------------------------
-# projected subgradient ascent of the CCNR over Bloch-diagonal PPT states
+# projected gradient ascent of the CCNR over Bloch-diagonal PPT states
 
 
 # The exact step solves one (K+1)-square system per row and active-set
 # iteration.  On check 10's d = 8 config (K = 64, seeds 0-2, 2-core Xeon)
-# it took 5-9 s against 22-37 s for Dykstra alone; at d = 16 (K = 256),
-# on check 10's config (seed 0), 313 s against 160 s.  So only K up to
-# 64 tries it.
+# it took 0.9-2.0 s against 12-20 s for Dykstra alone; at d = 16 (K = 256),
+# on check 10's config (seed 0), over 400 s against 153 s, with 5,569 of
+# its 9,750 steps still uncertified.  So only K up to 64 tries it.
 _EXACT_MAX_K = 64
 # rows still uncertified after this many active-set iterations go to
-# Dykstra; 20 instead certified only 0.2% more of 3,000 d = 8 row-steps
+# Dykstra.  On check 10's d = 8 config (seeds 0-9, 2-core Xeon), 10
+# certified 90.8% of 7,610 row-steps in 10.6 s, 20 certified 94.5% of
+# 6,499 in 9.5 s; check 10's hit rates are measured at 10
 _EXACT_MAX_ITERS = 10
 # least constraint value and least active multiplier an exact solution
 # may show and still count as the projection
@@ -691,15 +700,18 @@ def ccnr_ascent_bloch_ppt(
     """Maximise sum |lambda_k| over Bloch-diagonal PPT states.
 
     Supported local dimensions are 4, 8 and 16, where the basis is a
-    product of Pauli strings.  Inner loop: projected subgradient ascent
-    of sum_k s_k lambda_k at fixed signs, each step projected onto
+    product of Pauli strings.  Inner loop: projected gradient ascent of
+    sum_k s_k lambda_k at fixed signs, each step projected onto
     {rho >= 0} cap {rho^T_B >= 0} cap {unit trace}.  At d = 4 and 8 the
     projection is the exact active-set solve wherever its KKT
     certificate holds; Dykstra's alternating scheme takes the steps it
     does not certify, every step at d = 16 and the pull-in of the random
-    starts.  A round ends after `max_iters` steps or once an exactly
-    projected step moves its row by at most STALL_TOL; the next round takes
-    s from the best iterate's signs, except within SIGN_ZERO_TOL of zero.
+    starts.  A step is ASCENT_STEP0 / sqrt(1 + n), n the row's steps of
+    the round handed to Dykstra so far: exact projections gain at any
+    step length, Dykstra's capped ones need the shrinking step.  A round
+    ends after `max_iters` steps or once an exactly projected step moves
+    its row by at most STALL_TOL; the next round takes s from the best
+    iterate's signs, except within SIGN_ZERO_TOL of zero.
     Each restart is a row of one loop on its own round schedule, ending
     when its signs repeat or after `max_outer` rounds.  The report gives,
     per restart, its best feasible CCNR, steps taken, rounds and steps
@@ -730,19 +742,21 @@ def ccnr_ascent_bloch_ppt(
     best_ccnr = np.where(feasible, start_ccnr, -np.inf)
     best_lam = lam.copy()
     signs = _refresh_signs(lam, np.ones_like(lam))
+    g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
     active = np.ones(r_count, bool)
     it = np.zeros(r_count, dtype=int)      # steps into the current round
+    inexact = np.zeros(r_count, dtype=int)  # of them handed to Dykstra
     iters_used = np.zeros(r_count, dtype=int)
     rounds_used = np.zeros(r_count, dtype=int)
     dykstra_steps = np.zeros(r_count, dtype=int)
 
     while active.any():
         it += active
-        step = ASCENT_STEP0 / np.sqrt(it)
-        g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
+        step = ASCENT_STEP0 / np.sqrt(1 + inexact)
         prop = np.where(active[:, None], lam + step[:, None] * g, lam)
         lam_new, conv, handed = poly.project_step_rows(prop, lam, active)
         flagged |= active & ~conv
+        inexact += handed
         dykstra_steps += handed
         iters_used += active
         me = poly.min_eig_rows(lam_new)
@@ -752,7 +766,7 @@ def ccnr_ascent_bloch_ppt(
         best_ccnr = np.where(better, cc, best_ccnr)
         best_lam = np.where(better[:, None], lam_new, best_lam)
         # a certified step that returns its iterate puts g in the normal
-        # cone there, so every later (smaller) step of the round returns it
+        # cone there, so every later step of the round, none longer, returns it
         stalled = ~handed & (np.abs(lam_new - lam).max(axis=1) <= STALL_TOL)
         lam = np.where(active[:, None], lam_new, lam)
         ends = active & (stalled | (it >= cfg.max_iters))
@@ -763,8 +777,9 @@ def ccnr_ascent_bloch_ppt(
         repeat = np.all(new_signs == signs, axis=1)
         active &= ~(ends & (repeat | (rounds_used >= cfg.max_outer)))
         renew = ends & active
-        it[renew] = 0
+        it[renew] = inexact[renew] = 0
         signs = np.where(renew[:, None], new_signs, signs)
+        g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
         lam = np.where(renew[:, None], best_lam, lam)
 
     never = ~np.isfinite(best_ccnr)

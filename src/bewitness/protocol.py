@@ -301,7 +301,7 @@ def expectations_dense(
         b = slice(i, i + _BLOCK_TRIPLES)
         ha = _heisenberg_factors(u, ma, x[b], z[b])
         hb = _heisenberg_factors(v, mb, y[b], z[b])
-        out[b] = np.einsum("abcd,tca,tdb->t", rho, ha, hb, optimize=True).real
+        out[b] = _planned_einsum("abcd,tca,tdb->t", rho, ha, hb).real
     return out
 
 

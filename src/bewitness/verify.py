@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -29,15 +30,20 @@ from .optimize import (
 
 # reduced search budgets for the checklist; the library defaults are
 # larger, these are the smallest configs that still reach the targets
-# reliably on one core within the stated runtime budgets
+# reliably on one core within the stated runtime budgets.  At d = 8 a
+# restart reaches 1.69 with probability about 0.12 (39 of 320 restarts,
+# seeds 0-19), so 16 restarts in each of four tries all miss with
+# probability about 2e-4
 ASCENT_CHECK_CONFIGS = {
     4: AscentConfig(n_restarts=6, max_iters=600),
-    8: AscentConfig(n_restarts=8, max_iters=800),
+    8: AscentConfig(n_restarts=16, max_iters=800),
     16: AscentConfig(n_restarts=6, max_iters=600),
 }
 ASCENT_TARGETS = {4: 1.499, 8: 1.69, 16: 2.24}
-ASCENT_RETRY_SEED_STEP = 1000
-ASCENT_MAX_TRIES = 4  # first attempt plus up to three fresh-seed retries
+# check 09's see-saw targets per channel dimension: (value, shortfall allowed)
+SEESAW_TARGETS = {4: (0.25, 1e-6), 16: (1.0, 1e-9)}
+RETRY_SEED_STEP = 1000
+MAX_TRIES = 4  # first attempt plus up to three fresh-seed retries
 FACTORIZATION_SAMPLES = 10_000
 
 
@@ -207,51 +213,79 @@ def check_factorization() -> CheckResult:
     return _finish("08-factorization", 10.0, t0, ok, detail)
 
 
+def _retried(search, base):
+    """Run `search` on `base`, then on the seeds base.seed + k * RETRY_SEED_STEP,
+    until a try reaches its target, for at most MAX_TRIES tries.
+
+    `search(cfg)` returns (hit, sound, result).  A try that is not sound
+    breaks a proven bound; it fails the check and is not retried.
+    Returns (hit, sound, tries, result) of the last try.
+    """
+    for attempt in range(MAX_TRIES):
+        hit, sound, result = search(replace(base, seed=base.seed + attempt * RETRY_SEED_STEP))
+        if hit or not sound:
+            break
+    return hit, sound, attempt + 1, result
+
+
+def _seesaw_try(runner, cfg: SeesawConfig):
+    """One try of check 09: its target, and no restart above the separable
+    bound D/16 + SOUNDNESS_SLACK."""
+    rep = runner(cfg)
+    target, tol_low = SEESAW_TARGETS[cfg.channel_dim]
+    sound = max(rep.restart_values) <= cfg.channel_dim / 16 + SOUNDNESS_SLACK
+    return rep.best_value >= target - tol_low, sound, rep
+
+
 def check_seesaw() -> CheckResult:
     """See-saw reaches the separable bound at D=4 and full value at D=16."""
     t0 = time.perf_counter()
     details = []
     ok = True
-    for d, target, tol_low in ((4, 0.25, 1e-6), (16, 1.0, 1e-9)):
-        cfg = SeesawConfig(channel_dim=d)
+    for d in SEESAW_TARGETS:
         for kind, runner in (("classical", seesaw_classical), ("quantum", seesaw_quantum)):
             t_run = time.perf_counter()
-            rep = runner(cfg)
+            hit, sound, tries, rep = _retried(partial(_seesaw_try, runner),
+                                              SeesawConfig(channel_dim=d))
+            ok = ok and hit and sound
             cost = f"{sum(rep.iterations_used)} cycles, {time.perf_counter() - t_run:.1f} s"
-            top = max(rep.restart_values)
-            bound = d / 16
-            if not (rep.best_value >= target - tol_low and top <= bound + SOUNDNESS_SLACK):
-                ok = False
-            details.append(f"D={d} {kind}: {rep.best_value:.9f} ({cost})")
+            verdict = "" if sound else f", above the bound {d / 16}"
+            details.append(f"D={d} {kind}: {rep.best_value:.9f} (try {tries}{verdict}, {cost})")
     return _finish("09-seesaw", 60.0, t0, ok, "; ".join(details))
 
 
+def _ascent_try(d: int, cfg: AscentConfig):
+    """One try of check 10: its target, with the best coefficients PPT to
+    PPT_ITERATE_TOL by the Bell spectrum.  No bound on the CCNR over PPT
+    states is proven here, so every try is sound.  The result is the
+    report and that least eigenvalue."""
+    rep = ccnr_ascent_bloch_ppt(d, cfg)
+    feas = min(float(pauli.bell_spectrum(rep.best_lambdas, partial_transpose=pt).min())
+               for pt in (False, True))
+    return rep.best_value >= ASCENT_TARGETS[d] and feas >= PPT_ITERATE_TOL, True, (rep, feas)
+
+
 def check_ccnr_ascent() -> CheckResult:
-    """Projected ascent reaches the published CCNR values over PPT states."""
+    """Projected ascent reaches the published CCNR values over PPT states.
+
+    The detail also gives, per d, the restarts flagged for a Dykstra
+    projection that did not converge and the least eigenvalue seen over
+    all iterates; neither decides the check."""
     t0 = time.perf_counter()
     details = []
     ok = True
-    for d in (4, 8, 16):
-        base = ASCENT_CHECK_CONFIGS[d]
-        target = ASCENT_TARGETS[d]
-        reached = None
+    for d, base in ASCENT_CHECK_CONFIGS.items():
         t_d = time.perf_counter()
-        for attempt in range(ASCENT_MAX_TRIES):
-            cfg = replace(base, seed=base.seed + attempt * ASCENT_RETRY_SEED_STEP)
-            rep = ccnr_ascent_bloch_ppt(d, cfg)
-            feas = min(float(pauli.bell_spectrum(rep.best_lambdas, partial_transpose=pt).min())
-                       for pt in (False, True))
-            if rep.best_value >= target and feas >= PPT_ITERATE_TOL:
-                reached = (rep.best_value, attempt + 1, feas)
-                break
-        cost = f"{sum(rep.iterations_used)} steps, {time.perf_counter() - t_d:.1f} s"
-        if reached is None:
-            ok = False
-            details.append(f"D={d}: {rep.best_value:.4f} < {target} after "
-                           f"{ASCENT_MAX_TRIES} tries ({cost})")
+        hit, _, tries, (rep, feas) = _retried(partial(_ascent_try, d), base)
+        ok = ok and hit
+        cost = (f"flagged {len(rep.flagged_restarts)}/{base.n_restarts}, "
+                f"min eig seen {rep.min_eig_seen:.1e}, "
+                f"{sum(rep.iterations_used)} steps, {time.perf_counter() - t_d:.1f} s")
+        if hit:
+            details.append(f"D={d}: {rep.best_value:.6f} (try {tries}, min eig {feas:.1e}, {cost})")
         else:
-            val, tries, feas = reached
-            details.append(f"D={d}: {val:.6f} (try {tries}, min eig {feas:.1e}, {cost})")
+            details.append(f"D={d}: {rep.best_value:.4f} < {ASCENT_TARGETS[d]} after "
+                           f"{tries} tries ({cost})")
     return _finish("10-ccnr-ascent", 600.0, t0, ok, "; ".join(details))
 
 

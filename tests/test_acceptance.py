@@ -5,13 +5,17 @@ one-line report (visible with pytest -v -s or on failure) and asserts
 the pass flag.  Budgets are enforced inside the checks themselves.
 """
 
+from functools import partial
+
 from bewitness import verify
+from bewitness.optimize import SeesawConfig, seesaw_classical
 
 
 def _run(check):
     result = check()
     print(result.line())
     assert result.passed, result.line()
+    return result
 
 
 def test_criterion_01_spectrum():
@@ -47,11 +51,39 @@ def test_criterion_08_factorization():
 
 
 def test_criterion_09_seesaw():
-    _run(verify.check_seesaw)
+    for part in _run(verify.check_seesaw).detail.split("; "):
+        assert "(try " in part, part
 
 
 def test_criterion_10_ccnr_ascent():
-    _run(verify.check_ccnr_ascent)
+    parts = _run(verify.check_ccnr_ascent).detail.split("; ")
+    assert len(parts) == len(verify.ASCENT_CHECK_CONFIGS)
+    for part in parts:
+        assert "flagged " in part and "min eig seen " in part, part
+
+
+def test_retry_reaches_the_target_on_a_fresh_seed():
+    # classical D=4 from seed 18 ends at 0.2421875; seed 1018 reaches 1/4
+    hit, sound, tries, rep = verify._retried(
+        partial(verify._seesaw_try, seesaw_classical), SeesawConfig(channel_dim=4, seed=18))
+    assert (hit, sound, tries) == (True, True, 2)
+    assert rep.seed == 18 + verify.RETRY_SEED_STEP
+
+
+def test_retry_stops_at_an_unsound_try_and_after_max_tries():
+    seeds = []
+
+    def search(verdict, cfg):
+        seeds.append(cfg.seed)
+        return False, verdict, cfg.seed
+
+    base = SeesawConfig(channel_dim=4, seed=3)
+    assert verify._retried(partial(search, False), base) == (False, False, 1, 3)
+    assert seeds == [3]
+    seeds.clear()
+    last = 3 + (verify.MAX_TRIES - 1) * verify.RETRY_SEED_STEP
+    assert verify._retried(partial(search, True), base) == (False, True, verify.MAX_TRIES, last)
+    assert seeds == [3 + k * verify.RETRY_SEED_STEP for k in range(verify.MAX_TRIES)]
 
 
 def test_criterion_11_property_suite():

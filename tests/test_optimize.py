@@ -555,10 +555,11 @@ _BENCH_CFG = dict(n_restarts=8, max_iters=250, max_outer=1)   # the ccnr-ascent 
 
 def _reference_ascent(d, cfg, stalls=None):
     """The ascent from the public projection step and sign refresh, every
-    round run to max_iters with all rows in lockstep.  Returns (values,
-    steps per restart).  With `stalls`, appends (lam, g, step) for each
-    row's first step per round that the exact projection certified and
-    that moved the row by at most STALL_TOL."""
+    round run to max_iters with all rows in lockstep; a row's step shrinks
+    as ASCENT_STEP0 / sqrt(1 + its steps of the round handed to Dykstra).
+    Returns (values, steps per restart).  With `stalls`, appends
+    (lam, g, step) for each row's first step per round that the exact
+    projection certified and that moved the row by at most STALL_TOL."""
     poly = _BlochPolytope(d)
     k = poly.c.shape[0]
     lam = np.zeros((cfg.n_restarts, k))
@@ -575,14 +576,16 @@ def _reference_ascent(d, cfg, stalls=None):
     steps = np.zeros(cfg.n_restarts, dtype=int)
     for _ in range(cfg.max_outer):
         seen = np.zeros(cfg.n_restarts, bool)
-        for it in range(1, cfg.max_iters + 1):
-            step = optimize.ASCENT_STEP0 / np.sqrt(it)
+        inexact = np.zeros(cfg.n_restarts, dtype=int)
+        for _ in range(cfg.max_iters):
+            step = optimize.ASCENT_STEP0 / np.sqrt(1 + inexact)
             g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
-            prop = np.where(active[:, None], lam + step * g, lam)
+            prop = np.where(active[:, None], lam + step[:, None] * g, lam)
             new, _, handed = poly.project_step_rows(prop, lam, active)
+            inexact += handed
             stalled = active & ~handed & (np.abs(new - lam).max(axis=1) <= optimize.STALL_TOL)
             if stalls is not None:
-                stalls.extend((lam[r], g[r], step) for r in np.flatnonzero(stalled & ~seen))
+                stalls.extend((lam[r], g[r], step[r]) for r in np.flatnonzero(stalled & ~seen))
             seen |= stalled
             cc = np.abs(new).sum(axis=1)
             better = active & (poly.min_eig_rows(new) >= optimize.PPT_ITERATE_TOL) & (cc > best_cc)
@@ -630,9 +633,33 @@ def test_stalled_iterate_is_fixed_by_every_smaller_step():
 
 
 def test_stall_exit_skips_most_steps():
+    # 77 steps; 243 when every step shrank as 1/sqrt(step of the round)
     rep = ccnr_ascent_bloch_ppt(4, AscentConfig(**_BENCH_CFG, seed=11))
-    assert sum(rep.iterations_used) < 1000
+    assert sum(rep.iterations_used) < 150
     assert rep.to_dict()["rounds_used"] == rep.rounds_used
+
+
+@pytest.mark.parametrize("d, seeds", [(4, range(6)), (8, range(2))])
+def test_exactly_projected_steps_never_lose_objective(monkeypatch, d, seeds):
+    """An exact projection of lam + t s onto a convex set gains s . lam for
+    any step t, so no certified step may lose more than rounding."""
+    steps = []
+    project = _BlochPolytope.project_step_rows
+
+    def spy(self, lam, prev, active):
+        out, converged, handed = project(self, lam, prev, active)
+        steps.append((np.sign(lam - prev), prev, out, active & ~handed))
+        return out, converged, handed
+
+    monkeypatch.setattr(_BlochPolytope, "project_step_rows", spy)
+    for seed in seeds:
+        ccnr_ascent_bloch_ppt(d, AscentConfig(n_restarts=4, max_iters=200, seed=seed))
+    exact = 0
+    for s, prev, out, rows in steps:
+        gain = np.sum(s[rows] * (out[rows] - prev[rows]), axis=1)
+        assert gain.min(initial=0.0) >= -1e-12
+        exact += rows.sum()
+    assert exact > 100
 
 
 def test_d16_rounds_unchanged_by_the_per_row_loop():
