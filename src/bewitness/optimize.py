@@ -10,11 +10,15 @@ cycles through three integer-scored moves.  The CCNR search maximises
 sum_k |lambda_k| over Bloch-diagonal PPT states in rounds at fixed signs s.
 A round is a linear program, max s . lambda over the polytope, climbed by
 projected gradient steps: an exact projection gains at any step length
-(Calamai & More, Math. Prog. 39, 1987), so the step stays fixed until a step
-of the round goes to Dykstra's approximate projection, and then shrinks.  A
-round ends at max_iters steps or at the first certified step that leaves its
-iterate in place (s is then in the normal cone, so later steps would too);
-each restart row refreshes its signs on its own.
+(Calamai & More, Math. Prog. 39, 1987).  So where the exact projection is
+tried, each step first goes a unit length, as far as the polytope is wide
+(it lies in the unit ball), so that one certified projection mostly lands
+on the round's optimal face.  A row whose long projection does not
+certify takes a short step instead, fixed until a step of the round goes
+to Dykstra's approximate projection, and then shrinking.  A round ends at
+max_iters steps or at the first certified step that leaves its iterate in
+place (s is then in the normal cone, so later steps would too); each
+restart row refreshes its signs on its own.
 
 The feasible set of the CCNR search is handled in coefficient space.
 The operators G_k (x) G_k pairwise commute (Pauli strings commute or
@@ -73,12 +77,22 @@ class SeesawConfig:
         return asdict(self)
 
 
-# CCNR ascent: step ASCENT_STEP0 / sqrt(1 + n), n the steps of the round
-# so far handed to Dykstra (at d = 16, every step: the 1/sqrt(step)
-# schedule that capped, approximate projections need); sweep cap and
-# tolerance of each Dykstra projection; coefficients within
-# SIGN_ZERO_TOL of zero (Dykstra leaves ~1e-12 at a vertex) keep their sign
+# CCNR ascent: the short step ASCENT_STEP0 / sqrt(1 + n), n the steps of
+# the round so far handed to Dykstra (at d = 16, every step: the
+# 1/sqrt(step) schedule that capped, approximate projections need).  Where
+# the exact projection is tried, a row takes the short step only when the
+# projection of its long step does not certify; on check 10's d = 8 config
+# (seeds 0-9, 2-core Xeon) 974 of 4,433 row-steps were long.
 ASCENT_STEP0 = 0.1
+# every feasible lambda has |lambda|^2 = tr rho^2 <= 1, so a unit step along
+# the unit direction g spans the polytope and its exact projection mostly
+# lands on the round's optimal face; the next long step certifies the stall.
+# On the ccnr-ascent job config (d = 4, seeds 0-99) row-steps per job went
+# from 75.9 at step 0.1 to 19.1; steps of 0.5 and 1.5 were slower than 1.0,
+# and at 1.5 some steps went to Dykstra
+ASCENT_LONG_STEP = 1.0
+# sweep cap and tolerance of each Dykstra projection; coefficients within
+# SIGN_ZERO_TOL of zero (Dykstra leaves ~1e-12 at a vertex) keep their sign
 DYKSTRA_CAP = 500
 DYKSTRA_TOL = 1e-11
 SIGN_ZERO_TOL = 1e-10
@@ -512,10 +526,11 @@ def seesaw_classical(
 # its 9,750 steps still uncertified.  So only K up to 64 tries it.
 _EXACT_MAX_K = 64
 # rows still uncertified after this many active-set iterations go to
-# Dykstra.  On check 10's d = 8 config (seeds 0-9, 2-core Xeon), 10
-# certified 90.8% of 7,610 row-steps in 10.6 s, 20 certified 94.5% of
-# 6,499 in 9.5 s; check 10's hit rates are measured at 10
-_EXACT_MAX_ITERS = 10
+# Dykstra.  On check 10's d = 8 config (16 restarts, seeds 0-9, 2-core
+# Xeon) with the long step, 10 handed 317 of 6,149 row-steps to Dykstra
+# and left 24 restarts flagged in 21.9 s; 20 handed 40 of 4,433 and left
+# 4 flagged in 19.4 s, with the same 9 of 10 seeds at 1.7
+_EXACT_MAX_ITERS = 20
 # least constraint value and least active multiplier an exact solution
 # may show and still count as the projection
 _KKT_TOL = 1e-12
@@ -659,22 +674,28 @@ class _BlochPolytope:
         return out, certified
 
     def project_step_rows(
-        self, lam: np.ndarray, prev: np.ndarray, active: np.ndarray
+        self, prev: np.ndarray, g: np.ndarray, step: np.ndarray, active: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Project the `active` rows of one ascent step, taken from their
-        `prev` rows: exactly where K is small and the solve certifies
-        itself, by Dykstra (DYKSTRA_CAP sweeps, DYKSTRA_TOL) otherwise.
-        Other rows pass through.  Returns (points, converged mask, mask
-        of the rows handed to Dykstra).
+        """Project one ascent step of the `active` rows from `prev` along
+        the unit directions `g`.  Where K is small, a row first takes the
+        exact projection of the long proposal prev + ASCENT_LONG_STEP g,
+        then, if that solve does not certify itself, of the short one
+        prev + step g; the short proposals left over go to Dykstra
+        (DYKSTRA_CAP sweeps, DYKSTRA_TOL).  Other rows pass through.
+        Returns (points, converged mask, mask of the rows handed to Dykstra).
         """
-        out = lam.copy()
+        # rows still handed hold their short proposal
+        out = np.where(active[:, None], prev + step[:, None] * g, prev)
         handed = active.copy()
         if self.c.shape[0] <= _EXACT_MAX_K:
-            rows = np.flatnonzero(active)
-            points, ok = self.project_exact_rows(lam[rows], prev[rows])
-            out[rows[ok]] = points[ok]
-            handed[rows[ok]] = False
-        converged = np.ones(lam.shape[0], bool)
+            for trial in (prev + ASCENT_LONG_STEP * g, out):
+                rows = np.flatnonzero(handed)
+                if rows.size == 0:
+                    break
+                points, ok = self.project_exact_rows(trial[rows], prev[rows])
+                out[rows[ok]] = points[ok]
+                handed[rows[ok]] = False
+        converged = np.ones(prev.shape[0], bool)
         rows = np.flatnonzero(handed)
         if rows.size:
             out[rows], converged[rows] = self.dykstra_rows(out[rows], DYKSTRA_CAP, DYKSTRA_TOL)
@@ -706,12 +727,15 @@ def ccnr_ascent_bloch_ppt(
     projection is the exact active-set solve wherever its KKT
     certificate holds; Dykstra's alternating scheme takes the steps it
     does not certify, every step at d = 16 and the pull-in of the random
-    starts.  A step is ASCENT_STEP0 / sqrt(1 + n), n the row's steps of
-    the round handed to Dykstra so far: exact projections gain at any
-    step length, Dykstra's capped ones need the shrinking step.  A round
-    ends after `max_iters` steps or once an exactly projected step moves
-    its row by at most STALL_TOL; the next round takes s from the best
-    iterate's signs, except within SIGN_ZERO_TOL of zero.
+    starts.  Exact projections gain at any step length, so at d = 4 and 8
+    a row first tries the step ASCENT_LONG_STEP, as long as the polytope
+    is wide; where its projection does not certify, the row takes the
+    short step ASCENT_STEP0 / sqrt(1 + n) instead, n the row's steps of
+    the round handed to Dykstra so far, since Dykstra's capped
+    projections need the shrinking step.  d = 16 takes only short steps.
+    A round ends after `max_iters` steps or once an exactly projected step
+    moves its row by at most STALL_TOL; the next round takes s from the
+    best iterate's signs, except within SIGN_ZERO_TOL of zero.
     Each restart is a row of one loop on its own round schedule, ending
     when its signs repeat or after `max_outer` rounds.  The report gives,
     per restart, its best feasible CCNR, steps taken, rounds and steps
@@ -753,8 +777,7 @@ def ccnr_ascent_bloch_ppt(
     while active.any():
         it += active
         step = ASCENT_STEP0 / np.sqrt(1 + inexact)
-        prop = np.where(active[:, None], lam + step[:, None] * g, lam)
-        lam_new, conv, handed = poly.project_step_rows(prop, lam, active)
+        lam_new, conv, handed = poly.project_step_rows(lam, g, step, active)
         flagged |= active & ~conv
         inexact += handed
         dykstra_steps += handed

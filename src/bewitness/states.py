@@ -63,7 +63,7 @@ class BlochDiagonalState:
         want = 1.0 / 4**self.n_copies
         if abs(ident - want) > 1e-12:
             raise ValueError(
-                f"all-identity coefficient {ident!r} must be 1/4^{self.n_copies}"
+                f"all-identity coefficient {float(ident)!r} must be 1/4^{self.n_copies}"
             )
 
     @property
@@ -295,7 +295,8 @@ def state_to_dict(state: BlochDiagonalState) -> dict:
 def state_from_dict(data) -> BlochDiagonalState:
     """The state of a `state_to_dict` object.  Any other top level, a copy
     count that is not a JSON integer and lambdas that are not a list of
-    numbers are refused with a ValueError."""
+    numbers (a string or a boolean is not a number) are refused with a
+    ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"a state file must hold a JSON object, got {type(data).__name__}")
     tag = data.get("convention")
@@ -308,9 +309,13 @@ def state_from_dict(data) -> BlochDiagonalState:
         raise ValueError(f"n_copies must be an integer, got {n_copies!r}")
     if not isinstance(lambdas, list):
         raise ValueError(f"lambdas must be a list of numbers, got {type(lambdas).__name__}")
+    others = set(map(type, lambdas)) - {int, float}  # a JSON true or false is a bool
+    if others:
+        names = ", ".join(sorted(t.__name__ for t in others))
+        raise ValueError(f"lambdas must be a list of numbers, got entries of type {names}")
     try:
         lambdas = np.array(lambdas, dtype=float)
-    except (TypeError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValueError(f"lambdas must be a list of numbers: {exc}") from exc
     return BlochDiagonalState(n_copies=n_copies, lambdas=lambdas)
 

@@ -89,8 +89,9 @@ def test_seesaw_job_calls_the_traced_half_steps(tmp_path):
 def test_ccnr_ascent_job_keeps_its_sweeps_and_skips_stalled_steps(tmp_path):
     """The benchmark predicts Dykstra sweeps > 0 on `ccnr-ascent` (the
     pull-in of the random starts), and rounds that stall end early: the
-    first job takes 81 steps of its 8 rounds of up to 250 (258 when every
-    step shrank as 1/sqrt(step of the round))."""
+    first job takes 19 steps of its 8 rounds of up to 250 (81 when every
+    certified step was 0.1 long, 258 when every step shrank as
+    1/sqrt(step of the round))."""
     wl = WORKLOADS.make("ccnr-ascent", tmp_path)
     job = next(wl.jobs(WORKLOADS.job_rng("ccnr-ascent", 0)))
     tracer = TRACER.Tracer()
@@ -101,7 +102,7 @@ def test_ccnr_ascent_job_keeps_its_sweeps_and_skips_stalled_steps(tmp_path):
         tracer.unpatch()
     assert outcome.ok, outcome.detail
     assert tracer.counts.get("optimize.dykstra.sweeps", 0) > 0
-    assert outcome.counts["ascent_iterations"] < 150
+    assert outcome.counts["ascent_iterations"] < 50
 
 
 def test_witness_jobs_call_every_traced_protocol_layer(tmp_path):

@@ -105,6 +105,13 @@ REFUSALS = {
         "state-info", "--state", _state_file(tmp, fields={"lambdas": {"1": 0.25}})],
     "state-info-lambdas-entry-object": lambda tmp: [
         "state-info", "--state", _state_file(tmp, entry=(3, {}))],
+    "state-info-lambdas-strings": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, fields={"lambdas": [
+            str(v) for v in states.state_to_dict(states.rho_be())["lambdas"]]})],
+    "state-info-lambdas-entry-false": lambda tmp: [
+        "state-info", "--state", _state_file(tmp, fields={"lambdas": [0.25, False] + [0] * 14})],
+    "verify-lambdas-booleans": lambda tmp: [
+        "verify", "--state", _state_file(tmp, fields={"lambdas": [0.25] + [False] * 15})],
     "state-info-fractional-copies": lambda tmp: [
         "state-info", "--state", _state_file(tmp, fields={"n_copies": 1.5})],
     "state-info-string-copies": lambda tmp: [

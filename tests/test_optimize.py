@@ -489,8 +489,8 @@ def test_report_serialization_round_trip():
     assert d["config"] == {"n_restarts": 2, "max_iters": 50, "max_outer": 6, "seed": 0}
 
 
-def _proposals(poly, seed, rows, step):
-    """Seeded ascent-like proposals: a feasible point plus one step."""
+def _starts(poly, seed, rows):
+    """Seeded feasible points and unit ascent directions at fixed signs."""
     rng = np.random.default_rng(seed)
     k = poly.c.shape[0]
     start = 0.1 * rng.normal(size=(rows, k))
@@ -499,7 +499,13 @@ def _proposals(poly, seed, rows, step):
     assert converged.all()
     signs = np.where(rng.normal(size=(rows, k)) < 0, -1.0, 1.0)
     signs[:, 0] = 0.0
-    return prev + step * signs / np.linalg.norm(signs, axis=1, keepdims=True), prev
+    return prev, signs / np.linalg.norm(signs, axis=1, keepdims=True)
+
+
+def _proposals(poly, seed, rows, step):
+    """Seeded ascent-like proposals: a feasible point plus one step."""
+    prev, g = _starts(poly, seed, rows)
+    return prev + step * g, prev
 
 
 @pytest.mark.parametrize("d", [4, 8])
@@ -516,17 +522,64 @@ def test_exact_projection_matches_converged_dykstra(d):
         assert np.array_equal(exact[:, 0], np.full(6, poly.id_coeff))
 
 
-def test_uncertified_row_goes_to_dykstra():
-    poly = _BlochPolytope(8)
-    prop, prev = _proposals(poly, 28, rows=1, step=0.3)
-    _, certified = poly.project_exact_rows(prop, prev)
-    assert not certified[0]
-    active = np.ones(1, bool)
-    out, converged, handed = poly.project_step_rows(prop, prev, active)
+def test_uncertified_row_goes_to_dykstra(monkeypatch):
+    # seed 15's tenth d = 8 step certifies neither its long nor its short
+    # proposal within _EXACT_MAX_ITERS active-set iterations
+    calls = []
+    project = _BlochPolytope.project_step_rows
+
+    def spy(self, prev, g, step, active):
+        out = project(self, prev, g, step, active)
+        if out[2].any() and not calls:
+            calls.append((self, prev, g, step, active.copy()))  # the ascent edits active
+        return out
+
+    monkeypatch.setattr(_BlochPolytope, "project_step_rows", spy)
+    ccnr_ascent_bloch_ppt(8, AscentConfig(n_restarts=1, max_iters=200, seed=15))
+    monkeypatch.undo()
+    (poly, prev, g, step, active), = calls
+    prop = prev + step[:, None] * g
+    for trial in (prev + optimize.ASCENT_LONG_STEP * g, prop):
+        _, certified = poly.project_exact_rows(trial, prev)
+        assert not certified[0]
+    out, converged, handed = poly.project_step_rows(prev, g, step, active)
     ref, ref_converged = poly.dykstra_rows(prop, optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL)
     assert handed[0]
     assert np.array_equal(out, ref)
     assert np.array_equal(converged, ref_converged)
+
+
+def _short_step_route(poly, prev, g, step):
+    """One step of length `step` on every row: the exact projection where
+    it certifies itself, Dykstra elsewhere (the step without a long try)."""
+    prop = prev + step[:, None] * g
+    out, certified = poly.project_exact_rows(prop, prev)
+    handed = ~certified
+    out[handed], _ = poly.dykstra_rows(prop[handed], optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL)
+    return out, handed
+
+
+def test_uncertified_long_step_falls_back_to_the_short_step():
+    """A row whose long proposal does not certify ends bit for bit where
+    the short step alone sends it; a row whose long proposal certifies
+    never loses s . lam; inactive rows pass through."""
+    poly = _BlochPolytope(8)
+    prev, g = _starts(poly, 5, rows=40)
+    long_points, long_ok = poly.project_exact_rows(prev + optimize.ASCENT_LONG_STEP * g, prev)
+    assert long_ok.any() and not long_ok.all()
+    step = optimize.ASCENT_STEP0 / np.sqrt(1 + np.arange(40) % 3)
+    active = np.arange(40) % 5 != 0
+    out, converged, handed = poly.project_step_rows(prev, g, step, active)
+    assert np.array_equal(out[~active], prev[~active]) and not handed[~active].any()
+    long = active & long_ok
+    assert np.array_equal(out[long], long_points[long]) and not handed[long].any()
+    gain = np.sum(np.sign(g[long]) * (out[long] - prev[long]), axis=1)
+    assert gain.min() >= -1e-12
+    short = active & ~long_ok
+    ref, ref_handed = _short_step_route(poly, prev[short], g[short], step[short])
+    assert np.array_equal(out[short].view(np.int64), ref.view(np.int64))
+    assert np.array_equal(handed[short], ref_handed)
+    assert converged.all()
 
 
 def test_exact_step_reaches_three_halves_without_overshoot():
@@ -555,11 +608,11 @@ _BENCH_CFG = dict(n_restarts=8, max_iters=250, max_outer=1)   # the ccnr-ascent 
 
 def _reference_ascent(d, cfg, stalls=None):
     """The ascent from the public projection step and sign refresh, every
-    round run to max_iters with all rows in lockstep; a row's step shrinks
-    as ASCENT_STEP0 / sqrt(1 + its steps of the round handed to Dykstra).
-    Returns (values, steps per restart).  With `stalls`, appends
-    (lam, g, step) for each row's first step per round that the exact
-    projection certified and that moved the row by at most STALL_TOL."""
+    round run to max_iters with all rows in lockstep; a row's short step
+    shrinks as ASCENT_STEP0 / sqrt(1 + its steps of the round handed to
+    Dykstra).  Returns (values, steps per restart).  With `stalls`, appends
+    (lam, g) for each row's first step per round that the exact projection
+    certified and that moved the row by at most STALL_TOL."""
     poly = _BlochPolytope(d)
     k = poly.c.shape[0]
     lam = np.zeros((cfg.n_restarts, k))
@@ -580,12 +633,11 @@ def _reference_ascent(d, cfg, stalls=None):
         for _ in range(cfg.max_iters):
             step = optimize.ASCENT_STEP0 / np.sqrt(1 + inexact)
             g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
-            prop = np.where(active[:, None], lam + step[:, None] * g, lam)
-            new, _, handed = poly.project_step_rows(prop, lam, active)
+            new, _, handed = poly.project_step_rows(lam, g, step, active)
             inexact += handed
             stalled = active & ~handed & (np.abs(new - lam).max(axis=1) <= optimize.STALL_TOL)
             if stalls is not None:
-                stalls.extend((lam[r], g[r], step[r]) for r in np.flatnonzero(stalled & ~seen))
+                stalls.extend((lam[r], g[r]) for r in np.flatnonzero(stalled & ~seen))
             seen |= stalled
             cc = np.abs(new).sum(axis=1)
             better = active & (poly.min_eig_rows(new) >= optimize.PPT_ITERATE_TOL) & (cc > best_cc)
@@ -619,36 +671,38 @@ def test_stall_exit_keeps_the_values_of_full_rounds():
 
 def test_stalled_iterate_is_fixed_by_every_smaller_step():
     """A certified step that returns its iterate puts g in the normal cone
-    there; shorter steps along g must then return it too."""
+    there; every step along g up to the long one must then return it too."""
     poly = _BlochPolytope(4)
     stalls = []
     for seed in range(10):
         _reference_ascent(4, AscentConfig(**_BENCH_CFG, seed=seed), stalls)
     assert len(stalls) == 80          # every row stalls within its round
-    lam, g, step = (np.array(v) for v in zip(*stalls))
-    for scale in (1.0, 0.5, 0.1):
-        out, certified = poly.project_exact_rows(lam + (scale * step)[:, None] * g, lam)
+    lam, g = (np.array(v) for v in zip(*stalls))
+    for step in (optimize.ASCENT_LONG_STEP, 0.5, optimize.ASCENT_STEP0, 0.01):
+        out, certified = poly.project_exact_rows(lam + step * g, lam)
         assert certified.all()
         assert np.max(np.abs(out - lam)) <= 1e-12
 
 
 def test_stall_exit_skips_most_steps():
-    # 77 steps; 243 when every step shrank as 1/sqrt(step of the round)
+    # 20 steps; 77 when every certified step was 0.1 long, 243 when every
+    # step shrank as 1/sqrt(step of the round)
     rep = ccnr_ascent_bloch_ppt(4, AscentConfig(**_BENCH_CFG, seed=11))
-    assert sum(rep.iterations_used) < 150
+    assert sum(rep.iterations_used) < 50
     assert rep.to_dict()["rounds_used"] == rep.rounds_used
 
 
-@pytest.mark.parametrize("d, seeds", [(4, range(6)), (8, range(2))])
+@pytest.mark.parametrize("d, seeds", [(4, range(20)), (8, range(2))])
 def test_exactly_projected_steps_never_lose_objective(monkeypatch, d, seeds):
     """An exact projection of lam + t s onto a convex set gains s . lam for
-    any step t, so no certified step may lose more than rounding."""
+    any step t, so no certified step, long or short, may lose more than
+    rounding."""
     steps = []
     project = _BlochPolytope.project_step_rows
 
-    def spy(self, lam, prev, active):
-        out, converged, handed = project(self, lam, prev, active)
-        steps.append((np.sign(lam - prev), prev, out, active & ~handed))
+    def spy(self, prev, g, step, active):
+        out, converged, handed = project(self, prev, g, step, active)
+        steps.append((np.sign(g), prev, out, active & ~handed))
         return out, converged, handed
 
     monkeypatch.setattr(_BlochPolytope, "project_step_rows", spy)

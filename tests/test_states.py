@@ -230,6 +230,15 @@ def test_serialization_roundtrip(tmp_path):
     assert np.array_equal(loaded.lambdas, rho.lambdas)
 
 
+def test_serialization_rejects_entries_that_are_not_numbers():
+    data = states.state_to_dict(states.rho_be())
+    for bad in ("0.25", False, True, None):
+        with pytest.raises(ValueError, match="list of numbers"):
+            states.state_from_dict({**data, "lambdas": [bad] + data["lambdas"][1:]})
+    with pytest.raises(ValueError, match=r"coefficient 1\.0 must be"):
+        states.state_from_dict({**data, "lambdas": [1.0] + data["lambdas"][1:]})
+
+
 def test_serialization_rejects_wrong_convention_tag():
     data = states.state_to_dict(states.rho_be())
     data["convention"] = "k=4j+i+1"
