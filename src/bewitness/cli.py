@@ -113,9 +113,15 @@ def cmd_witness(args) -> Table:
     return payload, header, [row]
 
 
+# the largest copy count whose float columns are all normal numbers: from
+# N = 512 the separable bound 2^-2N is subnormal and prints rounded, and
+# from N = 538 it prints as 0
+_SCALING_N_MAX = 511
+
+
 def cmd_scaling(args) -> Table:
-    if args.n_max < 1:
-        raise ValueError("--n-max must be at least 1")
+    if not 1 <= args.n_max <= _SCALING_N_MAX:
+        raise ValueError(f"--n-max must lie in 1..{_SCALING_N_MAX}")
     rows = []
     rho = states.rho_be()
     per_copy_w = protocol.witness_closed_form(rho, protocol.matched_task(rho)).value

@@ -20,22 +20,18 @@ max_iters steps or at the first certified step that leaves its iterate in
 place (s is then in the normal cone, so later steps would too); each
 restart row refreshes its signs on its own.
 
-The feasible set of the CCNR search is handled in coefficient space.
-The operators G_k (x) G_k pairwise commute (Pauli strings commute or
-anticommute, and the sign cancels on the doubled copy), so they share
-one eigenbasis: per qubit pair it is the Bell basis.  The matrix of
-joint eigenvalues (`pauli.joint_eigenvalue_matrix`) is the n-fold
-Kronecker power of a 4 x 4 sign table and is orthogonal, which turns
-the positivity projections into exact clip-in-eigenbasis maps: two
-matrix-vector products each.
-
-Each ascent step projects back onto the PPT polytope exactly, by a
-primal-dual active-set solve in eigenvalue coordinates that is accepted
-only where it certifies its own KKT conditions.  Dykstra's alternating
-projections (increments for the two positivity sets; the affine trace
-set needs none) remain for the one-time pull-in from the random start,
-for steps whose certificate fails, and for every step at d = 16, where
-the exact step's linear systems cost more than the sweeps they save.
+The CCNR search runs in eigenvalue coordinates.  The operators
+G_k (x) G_k pairwise commute (Pauli strings commute or anticommute, and
+the sign cancels on the doubled copy), so they share one eigenbasis, per
+qubit pair the Bell basis, and their joint eigenvalue matrix C
+(`pauli.joint_eigenvalue_matrix`) is orthogonal.  In mu = C lambda the PPT
+polytope is {mu >= 0, M mu >= 0, sum mu = 1} (see `_BlochPolytope`), and
+lambda is formed only where it is read: each step's sum |lambda|, the sign
+refresh and the reported coefficients.  Each step is projected exactly
+by a primal-dual active-set solve, accepted only where it certifies its
+KKT conditions; Dykstra's alternating projections take the pull-in from
+the random start, the steps whose certificate fails and every step at
+d = 16, where the exact solves cost more than the sweeps they save.
 """
 
 from __future__ import annotations
@@ -77,28 +73,25 @@ class SeesawConfig:
         return asdict(self)
 
 
-# CCNR ascent: the short step ASCENT_STEP0 / sqrt(1 + n), n the steps of
-# the round so far handed to Dykstra (at d = 16, every step: the
-# 1/sqrt(step) schedule that capped, approximate projections need).  Where
-# the exact projection is tried, a row takes the short step only when the
-# projection of its long step does not certify; on check 10's d = 8 config
-# (seeds 0-9, 2-core Xeon) 974 of 4,433 row-steps were long.
+# CCNR ascent; CHANGES.md has the measured steps and timings behind each
+# value.  The short step is ASCENT_STEP0 / sqrt(1 + n), n the steps of the
+# round so far handed to Dykstra (at d = 16, every step): ascent on capped,
+# approximate projections settles only under a shrinking step, and 0.1, a
+# tenth of the polytope's width, starts each projection close to it.
 ASCENT_STEP0 = 0.1
 # every feasible lambda has |lambda|^2 = tr rho^2 <= 1, so a unit step along
-# the unit direction g spans the polytope and its exact projection mostly
-# lands on the round's optimal face; the next long step certifies the stall.
-# On the ccnr-ascent job config (d = 4, seeds 0-99) row-steps per job went
-# from 75.9 at step 0.1 to 19.1; steps of 0.5 and 1.5 were slower than 1.0,
-# and at 1.5 some steps went to Dykstra
+# the unit direction g spans the polytope, and its exact projection mostly
+# lands on the round's optimal face; the next long step certifies the stall
 ASCENT_LONG_STEP = 1.0
-# sweep cap and tolerance of each Dykstra projection; coefficients within
-# SIGN_ZERO_TOL of zero (Dykstra leaves ~1e-12 at a vertex) keep their sign
+# sweep cap and tolerance (on the eigenvalues) of each Dykstra projection;
+# coefficients within SIGN_ZERO_TOL of zero (Dykstra leaves ~1e-12 at a
+# vertex) keep their sign
 DYKSTRA_CAP = 500
 DYKSTRA_TOL = 1e-11
 SIGN_ZERO_TOL = 1e-10
-# a certified step moving a row by at most this (max-abs) ends its round:
-# on 240 d = 4 rows (the ccnr-ascent benchmark job, seeds 0-29) run to full
-# rounds, no later step of a stalled round moved it beyond 1.6e-16
+# a certified step moving a row's eigenvalues by at most this ends its
+# round: g is then in the normal cone, where every later step of the round
+# returns the iterate up to rounding (about 1e-16)
 STALL_TOL = 1e-12
 
 
@@ -519,17 +512,13 @@ def seesaw_classical(
 # projected gradient ascent of the CCNR over Bloch-diagonal PPT states
 
 
-# The exact step solves one (K+1)-square system per row and active-set
-# iteration.  On check 10's d = 8 config (K = 64, seeds 0-2, 2-core Xeon)
-# it took 0.9-2.0 s against 12-20 s for Dykstra alone; at d = 16 (K = 256),
-# on check 10's config (seed 0), over 400 s against 153 s, with 5,569 of
-# its 9,750 steps still uncertified.  So only K up to 64 tries it.
+# The exact step solves a (K+1)-square system per row and active-set
+# iteration, at a cost cubic in K: at K = 64 (d = 8) a tenth of the sweeps
+# it saves, at K = 256 more than them (timed with lambda-coordinate sweeps
+# and not re-timed; the cheaper eigenvalue sweeps only widen that gap)
 _EXACT_MAX_K = 64
-# rows still uncertified after this many active-set iterations go to
-# Dykstra.  On check 10's d = 8 config (16 restarts, seeds 0-9, 2-core
-# Xeon) with the long step, 10 handed 317 of 6,149 row-steps to Dykstra
-# and left 24 restarts flagged in 21.9 s; 20 handed 40 of 4,433 and left
-# 4 flagged in 19.4 s, with the same 9 of 10 seeds at 1.7
+# rows still uncertified after this many active-set iterations go to the
+# slower, approximate Dykstra; at 10, eight times as many d = 8 steps did
 _EXACT_MAX_ITERS = 20
 # least constraint value and least active multiplier an exact solution
 # may show and still count as the projection
@@ -543,47 +532,48 @@ _TIGHT = 1e-9
 
 
 class _BlochPolytope:
-    """Feasible set {rho PSD, rho^T_B PSD, unit trace} in lambda space.
-
-    Every map takes an array of coefficient vectors, one per row.
-
-    In eigenvalue coordinates mu = C lam the set is {mu >= 0, M mu >= 0,
-    sum mu = 1}, with M = C diag(t) C^T a symmetric involution fixing
-    the all-ones vector.  C is orthogonal, so Euclidean projections agree
-    in both coordinates.  `rows` stacks the rows of M and the trace row.
+    """Feasible set {rho PSD, rho^T_B PSD, unit trace} on rows of
+    eigenvalues mu = lam C^T, one per point: {mu >= 0, mu M >= 0,
+    sum mu = 1}, with M = C diag(t) C^T (t the transpose signs) a symmetric
+    involution fixing the all-ones vector, so mu M is the spectrum of
+    rho^T_B.  C is orthogonal, so projections agree with those in lambda.
+    `rows` stacks the rows of M and the trace row.
     """
 
     def __init__(self, local_dim: int):
         self.c = joint_eigenvalue_matrix(local_dim)
-        n = local_dim.bit_length() - 1
-        self.t = pauli.pauli_transpose_signs(n).astype(float)
+        t = pauli.pauli_transpose_signs(local_dim.bit_length() - 1).astype(float)
         self.id_coeff = 1.0 / local_dim
-        self.m = self.c @ (self.t[:, None] * self.c.T)
+        self.m = self.c @ (t[:, None] * self.c.T)
         self.rows = np.vstack([self.m, np.ones(len(self.m))])
 
-    def project_psd_rows(self, lam: np.ndarray) -> np.ndarray:
-        return np.maximum(lam @ self.c.T, 0.0) @ self.c
+    def lambda_rows(self, mu: np.ndarray) -> np.ndarray:
+        """Coefficients mu C, the identity coefficient set to 1/d exactly
+        (the exact solve meets sum mu = 1 only to rounding)."""
+        lam = mu @ self.c
+        lam[:, 0] = self.id_coeff
+        return lam
 
-    def project_psd_pt_rows(self, lam: np.ndarray) -> np.ndarray:
-        return (np.maximum((lam * self.t) @ self.c.T, 0.0) @ self.c) * self.t
+    def project_psd_rows(self, mu: np.ndarray) -> np.ndarray:
+        return np.maximum(mu, 0.0)
 
-    def min_eig_rows(self, lam: np.ndarray) -> np.ndarray:
-        plain = (lam @ self.c.T).min(axis=1)
-        swapped = ((lam * self.t) @ self.c.T).min(axis=1)
-        return np.minimum(plain, swapped)
+    def project_psd_pt_rows(self, mu: np.ndarray) -> np.ndarray:
+        return np.maximum(mu @ self.m, 0.0) @ self.m
+
+    def min_eig_rows(self, mu: np.ndarray) -> np.ndarray:
+        return np.minimum(mu.min(axis=1), (mu @ self.m).min(axis=1))
 
     def dykstra_rows(
-        self, lam: np.ndarray, cap: int, tol: float
+        self, mu: np.ndarray, cap: int, tol: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Dykstra on every row at once; rows freeze as they converge.
-        Returns (points, converged mask).  The affine trace set needs no
-        increment: it would touch only lambda_0, which the set overwrites."""
-        out = lam.copy()
-        rows = np.arange(lam.shape[0])
-        converged = np.zeros(lam.shape[0], bool)
-        x = lam
-        p1 = np.zeros_like(x)
-        p2 = np.zeros_like(x)
+        """Dykstra on every row at once; rows freeze once a sweep moves no
+        eigenvalue by `tol`.  Returns (points, converged mask).  The affine
+        trace set is a shift along its normal, the all-ones vector, which
+        an increment would only undo."""
+        out = mu.copy()
+        rows = np.arange(mu.shape[0])
+        converged = np.zeros(mu.shape[0], bool)
+        x, p1, p2 = mu, np.zeros_like(mu), np.zeros_like(mu)
         for _ in range(cap):
             if rows.size == 0:
                 break
@@ -591,25 +581,18 @@ class _BlochPolytope:
             p1 = x + p1 - y1
             y2 = self.project_psd_pt_rows(y1 + p2)
             p2 = y1 + p2 - y2
-            y3 = y2 + 0.0  # -0.0 to +0.0, as adding the zero increment did
-            y3[:, 0] = self.id_coeff
-            drift = np.max(np.abs(y3 - x), axis=1)
+            y3 = y2 + (1.0 - y2.sum(axis=1, keepdims=True)) / y2.shape[1]
+            done = np.max(np.abs(y3 - x), axis=1) < tol
             x = y3
-            done = drift < tol
             if done.any():
                 out[rows] = x
                 converged[rows[done]] = True
-                keep = ~done
-                rows = rows[keep]
-                x = x[keep]
-                p1 = p1[keep]
-                p2 = p2[keep]
-        if rows.size:
-            out[rows] = x
+                rows, x, p1, p2 = rows[~done], x[~done], p1[~done], p2[~done]
+        out[rows] = x
         return out, converged
 
     def project_exact_rows(
-        self, lam: np.ndarray, prev: np.ndarray
+        self, q: np.ndarray, prev: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Euclidean projection of every row by a primal-dual active-set
         solve (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002).
@@ -626,13 +609,11 @@ class _BlochPolytope:
         so the point is the projection.  Returns (points, certified
         mask); uncertified rows hold no valid point.
         """
-        k = self.c.shape[0]
+        k = q.shape[1]
         diag = np.arange(k + 1)
-        q = lam @ self.c.T
-        prev_mu = prev @ self.c.T
-        free = (q >= 0) & (prev_mu > _TIGHT)
+        free = (q >= 0) & (prev > _TIGHT)
         on = np.ones((q.shape[0], k + 1), bool)
-        on[:, :-1] = (q @ self.m < 0) | (prev_mu @ self.m <= _TIGHT)
+        on[:, :-1] = (q @ self.m < 0) | (prev @ self.m <= _TIGHT)
         mu = np.empty_like(q)
         certified = np.zeros(q.shape[0], bool)
         left = np.arange(q.shape[0])
@@ -669,16 +650,15 @@ class _BlochPolytope:
             left = left[moved]
             if left.size == 0:
                 break
-        out = mu @ self.c
-        out[:, 0] = self.id_coeff
-        return out, certified
+        return mu, certified
 
     def project_step_rows(
         self, prev: np.ndarray, g: np.ndarray, step: np.ndarray, active: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Project one ascent step of the `active` rows from `prev` along
-        the unit directions `g`.  Where K is small, a row first takes the
-        exact projection of the long proposal prev + ASCENT_LONG_STEP g,
+        """Project one ascent step of the `active` eigenvalue rows from
+        `prev` along the unit directions `g`.  Where K is small, a row
+        first takes the exact projection of the long proposal
+        prev + ASCENT_LONG_STEP g,
         then, if that solve does not certify itself, of the short one
         prev + step g; the short proposals left over go to Dykstra
         (DYKSTRA_CAP sweeps, DYKSTRA_TOL).  Other rows pass through.
@@ -736,6 +716,8 @@ def ccnr_ascent_bloch_ppt(
     A round ends after `max_iters` steps or once an exactly projected step
     moves its row by at most STALL_TOL; the next round takes s from the
     best iterate's signs, except within SIGN_ZERO_TOL of zero.
+    Iterates and steps are eigenvalue rows mu (see `_BlochPolytope`);
+    each step's CCNR, the signs and the report are read off lambda = mu C.
     Each restart is a row of one loop on its own round schedule, ending
     when its signs repeat or after `max_outer` rounds.  The report gives,
     per restart, its best feasible CCNR, steps taken, rounds and steps
@@ -757,16 +739,15 @@ def ccnr_ascent_bloch_ppt(
                           for r in range(r_count)])
     lam[:, 0] += poly.id_coeff
 
-    lam, conv = poly.dykstra_rows(lam, DYKSTRA_CAP * _INITIAL_PULL_FACTOR, DYKSTRA_TOL)
+    mu, conv = poly.dykstra_rows(lam @ poly.c.T, DYKSTRA_CAP * _INITIAL_PULL_FACTOR, DYKSTRA_TOL)
     flagged = ~conv
-    me = poly.min_eig_rows(lam)
+    me = poly.min_eig_rows(mu)
     min_eig_seen = me.copy()
-    start_ccnr = np.abs(lam).sum(axis=1)
-    feasible = me >= PPT_ITERATE_TOL
-    best_ccnr = np.where(feasible, start_ccnr, -np.inf)
-    best_lam = lam.copy()
-    signs = _refresh_signs(lam, np.ones_like(lam))
-    g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
+    best_mu, best_lam = mu, poly.lambda_rows(mu)
+    start_ccnr = np.abs(best_lam).sum(axis=1)
+    best_ccnr = np.where(me >= PPT_ITERATE_TOL, start_ccnr, -np.inf)
+    signs = _refresh_signs(best_lam, np.ones_like(best_lam))
+    g = (signs / np.linalg.norm(signs, axis=1, keepdims=True)) @ poly.c.T
     active = np.ones(r_count, bool)
     it = np.zeros(r_count, dtype=int)      # steps into the current round
     inexact = np.zeros(r_count, dtype=int)  # of them handed to Dykstra
@@ -777,21 +758,23 @@ def ccnr_ascent_bloch_ppt(
     while active.any():
         it += active
         step = ASCENT_STEP0 / np.sqrt(1 + inexact)
-        lam_new, conv, handed = poly.project_step_rows(lam, g, step, active)
+        mu_new, conv, handed = poly.project_step_rows(mu, g, step, active)
         flagged |= active & ~conv
         inexact += handed
         dykstra_steps += handed
         iters_used += active
-        me = poly.min_eig_rows(lam_new)
+        me = poly.min_eig_rows(mu_new)
         min_eig_seen = np.where(active, np.minimum(min_eig_seen, me), min_eig_seen)
+        lam_new = poly.lambda_rows(mu_new)
         cc = np.abs(lam_new).sum(axis=1)
         better = active & (me >= PPT_ITERATE_TOL) & (cc > best_ccnr)
         best_ccnr = np.where(better, cc, best_ccnr)
         best_lam = np.where(better[:, None], lam_new, best_lam)
+        best_mu = np.where(better[:, None], mu_new, best_mu)
         # a certified step that returns its iterate puts g in the normal
         # cone there, so every later step of the round, none longer, returns it
-        stalled = ~handed & (np.abs(lam_new - lam).max(axis=1) <= STALL_TOL)
-        lam = np.where(active[:, None], lam_new, lam)
+        stalled = ~handed & (np.abs(mu_new - mu).max(axis=1) <= STALL_TOL)
+        mu = np.where(active[:, None], mu_new, mu)
         ends = active & (stalled | (it >= cfg.max_iters))
         if not ends.any():
             continue
@@ -802,8 +785,8 @@ def ccnr_ascent_bloch_ppt(
         renew = ends & active
         it[renew] = inexact[renew] = 0
         signs = np.where(renew[:, None], new_signs, signs)
-        g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
-        lam = np.where(renew[:, None], best_lam, lam)
+        g = (signs / np.linalg.norm(signs, axis=1, keepdims=True)) @ poly.c.T
+        mu = np.where(renew[:, None], best_mu, mu)
 
     never = ~np.isfinite(best_ccnr)
     best_ccnr = np.where(never, start_ccnr, best_ccnr)

@@ -49,6 +49,15 @@ def test_scaling_json_echoes_seed_and_exact_fractions(capsys):
 
 def test_scaling_rejects_bad_range(capsys):
     assert main(["scaling", "--n-max", "0"]) == 2
+    assert main(["scaling", "--n-max", "512"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "scaling: --n-max must lie in 1..511"
+
+
+def test_scaling_prints_every_column_positive_up_to_its_limit(capsys):
+    assert main(["scaling", "--n-max", "511", "--format", "csv"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert last[1] == "511"
+    assert min(float(last[2]), float(last[3]), float(last[5])) > 0
 
 
 # one small successful command line per command
@@ -91,6 +100,7 @@ def _state_file(tmp_path, convention="k=4i+j+1", n_copies=1, entry=None, fields=
 # each builds, in a temporary directory, a command line that main refuses
 REFUSALS = {
     "scaling-n-max-0": lambda tmp: ["scaling", "--n-max", "0"],
+    "scaling-n-max-subnormal": lambda tmp: ["scaling", "--n-max", "512"],
     "state-info-missing-file": lambda tmp: ["state-info", "--state", str(tmp / "missing.json")],
     "state-info-wrong-tag": lambda tmp: [
         "state-info", "--state", _state_file(tmp, convention="k=4j+i+1")],

@@ -326,7 +326,7 @@ def test_psd_projection_matches_dense_clip(d, n):
     rng = np.random.default_rng(37)
     for _ in range(3):
         lam = rng.normal(size=d * d) * 0.1
-        proj = poly.project_psd_rows(lam[None])[0]
+        proj = poly.project_psd_rows((lam @ poly.c.T)[None])[0] @ poly.c
         dense = states.bloch_densify(lam)
         w, v = np.linalg.eigh(dense)
         clipped = (v * np.maximum(w, 0.0)) @ v.conj().T
@@ -343,7 +343,7 @@ def test_psd_pt_projection_matches_dense_route():
     basis = pauli.pauli_basis(n)
     rng = np.random.default_rng(41)
     lam = rng.normal(size=16) * 0.1
-    proj = poly.project_psd_pt_rows(lam[None])[0]
+    proj = poly.project_psd_pt_rows((lam @ poly.c.T)[None])[0] @ poly.c
     dense = states.bloch_densify(lam)
     pt = linalg.partial_transpose(dense, d, d)
     w, v = np.linalg.eigh(pt)
@@ -355,10 +355,10 @@ def test_psd_pt_projection_matches_dense_route():
 
 def test_dykstra_fixes_feasible_points():
     poly = _BlochPolytope(4)
-    lam = states.rho_be().lambdas
-    out, converged = poly.dykstra_rows(lam[None], cap=50, tol=1e-11)
+    mu = states.rho_be().lambdas @ poly.c.T
+    out, converged = poly.dykstra_rows(mu[None], cap=50, tol=1e-11)
     assert converged.all()
-    assert np.max(np.abs(out[0] - lam)) < 1e-12
+    assert np.max(np.abs(out[0] - mu)) < 1e-12
 
 
 def test_dykstra_output_is_feasible():
@@ -367,19 +367,19 @@ def test_dykstra_output_is_feasible():
     # one block: rows converge, and freeze, after different sweep counts
     start = rng.normal(size=(5, 16)) * 0.2
     start[:, 0] = 0.25
-    out, converged = poly.dykstra_rows(start, cap=2000, tol=1e-11)
+    out, converged = poly.dykstra_rows(start @ poly.c.T, cap=2000, tol=1e-11)
     assert converged.all()
     assert poly.min_eig_rows(out).min() >= -1e-9
-    assert np.max(np.abs(out[:, 0] - 0.25)) < 1e-12
+    assert np.max(np.abs((out @ poly.c)[:, 0] - 0.25)) < 1e-12
 
 
-def _reference_dykstra(poly, lam, cap, tol):
-    """Dykstra with an increment for the trace set too, as `dykstra_rows`
-    once ran it; same return pair."""
-    out = lam.copy()
-    rows = np.arange(lam.shape[0])
-    converged = np.zeros(lam.shape[0], bool)
-    x = lam
+def _reference_dykstra(poly, mu, cap, tol):
+    """Textbook Dykstra with an increment for the trace set too; same
+    return pair as `dykstra_rows`."""
+    out = mu.copy()
+    rows = np.arange(mu.shape[0])
+    converged = np.zeros(mu.shape[0], bool)
+    x = mu
     p1, p2, p3 = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
     for _ in range(cap):
         if rows.size == 0:
@@ -388,9 +388,9 @@ def _reference_dykstra(poly, lam, cap, tol):
         p1 = x + p1 - y1
         y2 = poly.project_psd_pt_rows(y1 + p2)
         p2 = y1 + p2 - y2
-        y3 = y2 + p3
-        y3[:, 0] = poly.id_coeff
-        p3 = y2 + p3 - y3
+        z = y2 + p3
+        y3 = z + (1.0 - z.sum(axis=1, keepdims=True)) / z.shape[1]
+        p3 = z - y3
         done = np.max(np.abs(y3 - x), axis=1) < tol
         x = y3
         if done.any():
@@ -402,26 +402,35 @@ def _reference_dykstra(poly, lam, cap, tol):
 
 
 @pytest.mark.parametrize("d", [4, 8])
-def test_dykstra_matches_reference_with_trace_increment_bitwise(d):
+def test_dykstra_matches_reference_with_trace_increment(d):
+    """The trace set's increment is a multiple of the all-ones vector,
+    which the next shift removes again: bit for bit while it is still
+    zero (one sweep), to rounding after that (3.9e-16 seen; asserted to
+    2e-15), and both stop at the same sweep."""
     poly = _BlochPolytope(d)
     rng = np.random.default_rng(47)
     start = 0.1 * rng.normal(size=(8, d * d))
     start[:, 0] += poly.id_coeff
-    # a row whose every eigenvalue clips to zero: after one sweep it is the
-    # identity coefficient and zeros, +0.0 where the partial transpose gives -0.0
+    # a row whose every eigenvalue clips to zero: one sweep leaves the
+    # maximally mixed state, every eigenvalue exactly 1/K
     start[-1] = 0.0
     start[-1, 0] = -1.0
-    for cap, tol in ((1, 1e-11), (3, 1e-11), (optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL),
-                     (20000, 1e-13)):
+    start = start @ poly.c.T
+    got, got_conv = poly.dykstra_rows(start, 1, 1e-11)
+    want, want_conv = _reference_dykstra(poly, start, 1, 1e-11)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got_conv, want_conv)
+    assert np.array_equal(got[-1], np.full(d * d, 1.0 / d**2))
+    for cap, tol in ((3, 1e-11), (optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL), (20000, 1e-13)):
         got, got_conv = poly.dykstra_rows(start, cap, tol)
         want, want_conv = _reference_dykstra(poly, start, cap, tol)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.max(np.abs(got - want)) <= 2e-15
         assert np.array_equal(got_conv, want_conv)
     # feasible rows from the pull-in, then one ascent-like step each
     prop, _ = _proposals(poly, 3, rows=6, step=0.2)
     got, got_conv = poly.dykstra_rows(prop, optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL)
     want, want_conv = _reference_dykstra(poly, prop, optimize.DYKSTRA_CAP, optimize.DYKSTRA_TOL)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.max(np.abs(got - want)) <= 2e-15
     assert np.array_equal(got_conv, want_conv)
 
 
@@ -429,9 +438,21 @@ def test_ccnr_ascent_reaches_target_at_d4():
     rep = ccnr_ascent_bloch_ppt(4, AscentConfig(n_restarts=3, max_iters=300))
     assert rep.best_value >= 1.4999
     assert rep.best_value <= 1.5 + 1e-6
-    assert _BlochPolytope(4).min_eig_rows(rep.best_lambdas[None])[0] >= -1e-8
-    assert abs(rep.best_lambdas[0] - 0.25) < 1e-12
+    poly = _BlochPolytope(4)
+    assert poly.min_eig_rows(rep.best_lambdas[None] @ poly.c.T)[0] >= -1e-8
+    assert rep.best_lambdas[0] == 0.25
     assert rep.min_eig_seen is not None
+
+
+@pytest.mark.parametrize("d, seeds", [(4, range(5)), (8, range(2))])
+def test_report_lambdas_give_the_reported_value_bitwise(d, seeds):
+    """The report is in lambda: its value is sum |best_lambdas| to the
+    last bit (the benchmark's `ccnr-ascent` check reads it so), with the
+    identity coefficient exactly 1/d."""
+    for seed in seeds:
+        rep = ccnr_ascent_bloch_ppt(d, AscentConfig(n_restarts=4, max_iters=200, seed=seed))
+        assert rep.best_value == float(np.sum(np.abs(rep.best_lambdas)))
+        assert rep.best_lambdas[0] == 1.0 / d
 
 
 def test_ccnr_ascent_best_state_closes_witness_chain():
@@ -490,16 +511,17 @@ def test_report_serialization_round_trip():
 
 
 def _starts(poly, seed, rows):
-    """Seeded feasible points and unit ascent directions at fixed signs."""
+    """Seeded feasible points and unit ascent directions at fixed signs, in
+    eigenvalue coordinates."""
     rng = np.random.default_rng(seed)
     k = poly.c.shape[0]
     start = 0.1 * rng.normal(size=(rows, k))
     start[:, 0] = poly.id_coeff
-    prev, converged = poly.dykstra_rows(start, cap=20000, tol=1e-12)
+    prev, converged = poly.dykstra_rows(start @ poly.c.T, cap=20000, tol=1e-12)
     assert converged.all()
     signs = np.where(rng.normal(size=(rows, k)) < 0, -1.0, 1.0)
     signs[:, 0] = 0.0
-    return prev, signs / np.linalg.norm(signs, axis=1, keepdims=True)
+    return prev, (signs / np.linalg.norm(signs, axis=1, keepdims=True)) @ poly.c.T
 
 
 def _proposals(poly, seed, rows, step):
@@ -519,7 +541,78 @@ def test_exact_projection_matches_converged_dykstra(d):
         assert converged.all()
         assert np.max(np.abs(exact - ref)) < 1e-9
         assert poly.min_eig_rows(exact).min() >= -1e-12
-        assert np.array_equal(exact[:, 0], np.full(6, poly.id_coeff))
+        assert np.max(np.abs(exact.sum(axis=1) - 1.0)) <= 1e-14
+
+
+class _LambdaMaps:
+    """The polytope's maps as they ran in lambda coordinates, converting to
+    eigenvalues mu = lam C^T and back on every call."""
+
+    def __init__(self, poly):
+        self.poly = poly
+        self.c = poly.c
+        n = poly.c.shape[0].bit_length() // 2
+        self.t = pauli.pauli_transpose_signs(n).astype(float)
+
+    def project_psd_rows(self, lam):
+        return np.maximum(lam @ self.c.T, 0.0) @ self.c
+
+    def project_psd_pt_rows(self, lam):
+        return (np.maximum((lam * self.t) @ self.c.T, 0.0) @ self.c) * self.t
+
+    def dykstra_rows(self, lam, cap, tol):
+        out, rows, converged = lam.copy(), np.arange(lam.shape[0]), np.zeros(lam.shape[0], bool)
+        x, p1, p2 = lam, np.zeros_like(lam), np.zeros_like(lam)
+        for _ in range(cap):
+            if rows.size == 0:
+                break
+            y1 = self.project_psd_rows(x + p1)
+            p1 = x + p1 - y1
+            y2 = self.project_psd_pt_rows(y1 + p2)
+            p2 = y1 + p2 - y2
+            y3 = y2 + 0.0
+            y3[:, 0] = self.poly.id_coeff
+            done = np.max(np.abs(y3 - x), axis=1) < tol
+            x = y3
+            if done.any():
+                out[rows] = x
+                converged[rows[done]] = True
+                rows, x, p1, p2 = rows[~done], x[~done], p1[~done], p2[~done]
+        out[rows] = x
+        return out, converged
+
+    def project_exact_rows(self, lam, prev):
+        mu, certified = self.poly.project_exact_rows(lam @ self.c.T, prev @ self.c.T)
+        out = mu @ self.c
+        out[:, 0] = self.poly.id_coeff
+        return out, certified
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_eigenvalue_coordinates_agree_with_the_lambda_maps(d):
+    """Each map, read back through C, agrees with its lambda-coordinate
+    form: the one-set projections and the certified exact projection to
+    rounding (at most 1.2e-16 seen; asserted to 1e-15).  The two Dykstra
+    runs each stop at the first sweep that moves no entry by 1e-13, short
+    of the limit, so they agree to 1e-12 (1.1e-14 seen) and reach the
+    exact projection to 1e-11 (2.9e-13 seen)."""
+    poly = _BlochPolytope(d)
+    maps = _LambdaMaps(poly)
+    c = poly.c
+    prop, prev = _proposals(poly, 4, rows=6, step=0.05)
+    lam_prop = prop @ c
+    assert np.max(np.abs(poly.project_psd_rows(prop) @ c - maps.project_psd_rows(lam_prop))) <= 1e-15
+    assert np.max(np.abs(
+        poly.project_psd_pt_rows(prop) @ c - maps.project_psd_pt_rows(lam_prop))) <= 1e-15
+    exact, certified = poly.project_exact_rows(prop, prev)
+    lam_exact, lam_certified = maps.project_exact_rows(lam_prop, prev @ c)
+    assert certified.all() and lam_certified.all()
+    assert np.max(np.abs(poly.lambda_rows(exact) - lam_exact)) <= 1e-15
+    got, converged = poly.dykstra_rows(prop, 200000, 1e-13)
+    want, lam_converged = maps.dykstra_rows(lam_prop, 200000, 1e-13)
+    assert converged.all() and lam_converged.all()
+    assert np.max(np.abs(poly.lambda_rows(got) - want)) <= 1e-12
+    assert np.max(np.abs(want - lam_exact)) <= 1e-11
 
 
 def test_uncertified_row_goes_to_dykstra(monkeypatch):
@@ -562,7 +655,7 @@ def _short_step_route(poly, prev, g, step):
 def test_uncertified_long_step_falls_back_to_the_short_step():
     """A row whose long proposal does not certify ends bit for bit where
     the short step alone sends it; a row whose long proposal certifies
-    never loses s . lam; inactive rows pass through."""
+    never loses g . mu; inactive rows pass through."""
     poly = _BlochPolytope(8)
     prev, g = _starts(poly, 5, rows=40)
     long_points, long_ok = poly.project_exact_rows(prev + optimize.ASCENT_LONG_STEP * g, prev)
@@ -573,7 +666,7 @@ def test_uncertified_long_step_falls_back_to_the_short_step():
     assert np.array_equal(out[~active], prev[~active]) and not handed[~active].any()
     long = active & long_ok
     assert np.array_equal(out[long], long_points[long]) and not handed[long].any()
-    gain = np.sum(np.sign(g[long]) * (out[long] - prev[long]), axis=1)
+    gain = np.sum(g[long] * (out[long] - prev[long]), axis=1)
     assert gain.min() >= -1e-12
     short = active & ~long_ok
     ref, ref_handed = _short_step_route(poly, prev[short], g[short], step[short])
@@ -611,7 +704,7 @@ def _reference_ascent(d, cfg, stalls=None):
     round run to max_iters with all rows in lockstep; a row's short step
     shrinks as ASCENT_STEP0 / sqrt(1 + its steps of the round handed to
     Dykstra).  Returns (values, steps per restart).  With `stalls`, appends
-    (lam, g) for each row's first step per round that the exact projection
+    (mu, g) for each row's first step per round that the exact projection
     certified and that moved the row by at most STALL_TOL."""
     poly = _BlochPolytope(d)
     k = poly.c.shape[0]
@@ -619,12 +712,14 @@ def _reference_ascent(d, cfg, stalls=None):
     for r in range(cfg.n_restarts):
         lam[r, 0] = poly.id_coeff
         lam[r] += 0.1 * np.random.default_rng([cfg.seed, r]).normal(size=k)
-    lam, _ = poly.dykstra_rows(
-        lam, optimize.DYKSTRA_CAP * optimize._INITIAL_PULL_FACTOR, optimize.DYKSTRA_TOL)
-    feasible = poly.min_eig_rows(lam) >= optimize.PPT_ITERATE_TOL
-    best_cc = np.where(feasible, np.abs(lam).sum(axis=1), -np.inf)
-    best = lam.copy()
-    signs = _refresh_signs(lam, np.ones_like(lam))
+    mu, _ = poly.dykstra_rows(
+        lam @ poly.c.T, optimize.DYKSTRA_CAP * optimize._INITIAL_PULL_FACTOR,
+        optimize.DYKSTRA_TOL)
+    feasible = poly.min_eig_rows(mu) >= optimize.PPT_ITERATE_TOL
+    best_lam = poly.lambda_rows(mu)
+    best_cc = np.where(feasible, np.abs(best_lam).sum(axis=1), -np.inf)
+    best = mu.copy()
+    signs = _refresh_signs(best_lam, np.ones_like(best_lam))
     active = np.ones(cfg.n_restarts, bool)
     steps = np.zeros(cfg.n_restarts, dtype=int)
     for _ in range(cfg.max_outer):
@@ -632,25 +727,27 @@ def _reference_ascent(d, cfg, stalls=None):
         inexact = np.zeros(cfg.n_restarts, dtype=int)
         for _ in range(cfg.max_iters):
             step = optimize.ASCENT_STEP0 / np.sqrt(1 + inexact)
-            g = signs / np.linalg.norm(signs, axis=1, keepdims=True)
-            new, _, handed = poly.project_step_rows(lam, g, step, active)
+            g = (signs / np.linalg.norm(signs, axis=1, keepdims=True)) @ poly.c.T
+            new, _, handed = poly.project_step_rows(mu, g, step, active)
             inexact += handed
-            stalled = active & ~handed & (np.abs(new - lam).max(axis=1) <= optimize.STALL_TOL)
+            stalled = active & ~handed & (np.abs(new - mu).max(axis=1) <= optimize.STALL_TOL)
             if stalls is not None:
-                stalls.extend((lam[r], g[r]) for r in np.flatnonzero(stalled & ~seen))
+                stalls.extend((mu[r], g[r]) for r in np.flatnonzero(stalled & ~seen))
             seen |= stalled
-            cc = np.abs(new).sum(axis=1)
+            new_lam = poly.lambda_rows(new)
+            cc = np.abs(new_lam).sum(axis=1)
             better = active & (poly.min_eig_rows(new) >= optimize.PPT_ITERATE_TOL) & (cc > best_cc)
             best_cc = np.where(better, cc, best_cc)
             best = np.where(better[:, None], new, best)
-            lam = np.where(active[:, None], new, lam)
+            best_lam = np.where(better[:, None], new_lam, best_lam)
+            mu = np.where(active[:, None], new, mu)
         steps += np.where(active, cfg.max_iters, 0)
-        new_signs = _refresh_signs(best, signs)
+        new_signs = _refresh_signs(best_lam, signs)
         active &= ~np.all(new_signs == signs, axis=1)
         if not active.any():
             break
         signs = np.where(active[:, None], new_signs, signs)
-        lam = np.where(active[:, None], best, lam)
+        mu = np.where(active[:, None], best, mu)
     assert np.isfinite(best_cc).all()
     return best_cc, steps
 
@@ -677,11 +774,11 @@ def test_stalled_iterate_is_fixed_by_every_smaller_step():
     for seed in range(10):
         _reference_ascent(4, AscentConfig(**_BENCH_CFG, seed=seed), stalls)
     assert len(stalls) == 80          # every row stalls within its round
-    lam, g = (np.array(v) for v in zip(*stalls))
+    mu, g = (np.array(v) for v in zip(*stalls))
     for step in (optimize.ASCENT_LONG_STEP, 0.5, optimize.ASCENT_STEP0, 0.01):
-        out, certified = poly.project_exact_rows(lam + step * g, lam)
+        out, certified = poly.project_exact_rows(mu + step * g, mu)
         assert certified.all()
-        assert np.max(np.abs(out - lam)) <= 1e-12
+        assert np.max(np.abs(out - mu)) <= 1e-12
 
 
 def test_stall_exit_skips_most_steps():
@@ -694,23 +791,23 @@ def test_stall_exit_skips_most_steps():
 
 @pytest.mark.parametrize("d, seeds", [(4, range(20)), (8, range(2))])
 def test_exactly_projected_steps_never_lose_objective(monkeypatch, d, seeds):
-    """An exact projection of lam + t s onto a convex set gains s . lam for
-    any step t, so no certified step, long or short, may lose more than
-    rounding."""
+    """An exact projection of mu + t g onto a convex set gains g . mu for
+    any step t (g . mu = s . lam / |s|, as C is orthogonal), so no
+    certified step, long or short, may lose more than rounding."""
     steps = []
     project = _BlochPolytope.project_step_rows
 
     def spy(self, prev, g, step, active):
         out, converged, handed = project(self, prev, g, step, active)
-        steps.append((np.sign(g), prev, out, active & ~handed))
+        steps.append((g, prev, out, active & ~handed))
         return out, converged, handed
 
     monkeypatch.setattr(_BlochPolytope, "project_step_rows", spy)
     for seed in seeds:
         ccnr_ascent_bloch_ppt(d, AscentConfig(n_restarts=4, max_iters=200, seed=seed))
     exact = 0
-    for s, prev, out, rows in steps:
-        gain = np.sum(s[rows] * (out[rows] - prev[rows]), axis=1)
+    for g, prev, out, rows in steps:
+        gain = np.sum(g[rows] * (out[rows] - prev[rows]), axis=1)
         assert gain.min(initial=0.0) >= -1e-12
         exact += rows.sum()
     assert exact > 100
