@@ -31,6 +31,14 @@ from .optimize import (AscentConfig, SeesawConfig, ccnr_ascent_bloch_ppt,
 Table = tuple[dict, list[str], list[list]]
 
 
+# the copy-count limit of every command: up to it, each float that
+# `witness` and `scaling` print is a normal number.  From N = 512 the
+# separable bound 2^-2N is subnormal and prints rounded; the closed-form
+# witness (3/8)^N prints as 0 from N = 760, a factored product (1/3)^k
+# from k = 679
+_N_COPIES_MAX = 511
+
+
 def _sig12(v: float) -> float:
     """Round to 12 significant digits for table emission."""
     return float(f"{float(v):.12g}")
@@ -74,6 +82,8 @@ def cmd_state_info(args) -> Table:
 def cmd_witness(args) -> Table:
     per_copy = states.rho_be()
     classical = args.strategy == "classical-d4"
+    if args.n_copies > _N_COPIES_MAX:
+        raise ValueError(f"--n-copies must be at most {_N_COPIES_MAX}")
     if classical and args.n_copies != 1:
         raise ValueError("classical-d4 is a one-copy strategy")
     if classical and args.method != "brute":
@@ -113,15 +123,9 @@ def cmd_witness(args) -> Table:
     return payload, header, [row]
 
 
-# the largest copy count whose float columns are all normal numbers: from
-# N = 512 the separable bound 2^-2N is subnormal and prints rounded, and
-# from N = 538 it prints as 0
-_SCALING_N_MAX = 511
-
-
 def cmd_scaling(args) -> Table:
-    if not 1 <= args.n_max <= _SCALING_N_MAX:
-        raise ValueError(f"--n-max must lie in 1..{_SCALING_N_MAX}")
+    if not 1 <= args.n_max <= _N_COPIES_MAX:
+        raise ValueError(f"--n-max must lie in 1..{_N_COPIES_MAX}")
     rows = []
     rho = states.rho_be()
     per_copy_w = protocol.witness_closed_form(rho, protocol.matched_task(rho)).value

@@ -5,8 +5,8 @@ updates (states are top-eigenvector projectors of their effective
 operators, fed the other side's correlations; measurements are
 sign-projector products), driving the witness monotonically upward;
 quantum restarts run in lockstep rows and sums over the +-1 table
-f(x, z) are real GEMMs; a classical restart is one loop over steps that
-cycles through three integer-scored moves.  The CCNR search maximises
+f(x, z) are real GEMMs; a classical restart is one loop over cycles of
+two integer-scored moves (exchange, sweep).  The CCNR search maximises
 sum_k |lambda_k| over Bloch-diagonal PPT states in rounds at fixed signs s.
 A round is a linear program, max s . lambda over the polytope, climbed by
 projected gradient steps: an exact projection gains at any step length
@@ -309,25 +309,6 @@ def _classical_sweep(
     return levels
 
 
-def _classical_fixed_step(
-    levels: np.ndarray,
-    other_norms: np.ndarray,
-    dim: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Simultaneous per-input argmax against the current sign decoders.
-
-    The decoder of each correlation observable is the diagonal sign of
-    the observable itself, so the witness sign s_z cancels out of the
-    score (s_z^2 = 1) and the update is the same for every sign
-    pattern.
-    """
-    dec = np.where(_diag_o(levels, dim) < 0, -1, 1).astype(float)
-    weight = other_norms[None, :] * pauli.F_TABLE.astype(float)  # (x, z)
-    scores = weight @ dec                                        # (x, level)
-    return np.array([_argmax(row, rng) for row in scores], dtype=np.int64)
-
-
 def _classical_swap_sweep(
     levels: np.ndarray,
     other_norms: np.ndarray,
@@ -378,42 +359,34 @@ def _classical_restart(
     """One classical restart: ascent over deterministic encodings.
 
     Tracks the witness with the measurement re-optimised after every
-    update, so the value is monotone across all three move kinds: the
-    argmax step against frozen decoders lower-bounds it and the sweep
-    and exchange moves increase it directly.  Each step applies the
-    current phase's move to both sides; a phase ends at its first step
-    that gains less than `tol`, and a turn through the three phases that
-    gains less than `tol` converges the restart (not checked at the step
-    cap).  Returns (levels_a, levels_b, value, steps, converged,
-    flagged), the value scored in exact integers.
+    update, which both moves increase directly.  Each cycle applies the
+    exchange pass and then the sweep, each to side A and then side B.  A
+    move that drops the witness by more than MONOTONE_SLACK flags the
+    restart (keeping the value before the drop); a cycle that gains less
+    than `tol` converges it, at the cycle cap too.  Returns (levels_a,
+    levels_b, value, cycles, converged, flagged), the value scored in
+    exact integers.
     """
     rng = np.random.default_rng([cfg.seed, restart])
     d = cfg.channel_dim
     levels_a = rng.integers(0, d, size=16)
     levels_b = rng.integers(0, d, size=16)
     norms_b = _classical_norms(levels_b, d)
-    w = w_turn = _WITNESS_SCALE * float(np.dot(_classical_norms(levels_a, d), norms_b))
-    phases = (_classical_fixed_step, _classical_sweep, _classical_swap_sweep)
-    phase = iters = 0
-    while iters < cfg.max_iters:
-        iters += 1
-        levels_a = phases[phase](levels_a, norms_b, d, rng)
-        norms_a = _classical_norms(levels_a, d)
-        levels_b = phases[phase](levels_b, norms_a, d, rng)
-        norms_b = _classical_norms(levels_b, d)
-        w_new = _WITNESS_SCALE * float(np.dot(norms_a, norms_b))
-        if w_new < w - MONOTONE_SLACK:
-            return levels_a, levels_b, w, iters, False, True
-        gained = w_new - w >= cfg.tol
-        w = w_new
-        if gained:
-            continue
-        phase = (phase + 1) % len(phases)
-        if phase == 0:
-            if iters < cfg.max_iters and w - w_turn < cfg.tol:
-                return levels_a, levels_b, w, iters, True, False
-            w_turn = w
-    return levels_a, levels_b, w, iters, False, False
+    w = _WITNESS_SCALE * float(np.dot(_classical_norms(levels_a, d), norms_b))
+    for it in range(1, cfg.max_iters + 1):
+        w_start = w
+        for move in (_classical_swap_sweep, _classical_sweep):
+            levels_a = move(levels_a, norms_b, d, rng)
+            norms_a = _classical_norms(levels_a, d)
+            levels_b = move(levels_b, norms_a, d, rng)
+            norms_b = _classical_norms(levels_b, d)
+            w_new = _WITNESS_SCALE * float(np.dot(norms_a, norms_b))
+            if w_new < w - MONOTONE_SLACK:
+                return levels_a, levels_b, w, it, False, True
+            w = w_new
+        if w - w_start < cfg.tol:
+            return levels_a, levels_b, w, it, True, False
+    return levels_a, levels_b, w, cfg.max_iters, False, False
 
 
 def _classical_rows(cfg: SeesawConfig, signs: np.ndarray) -> tuple:
@@ -514,8 +487,8 @@ def seesaw_classical(
 
 # The exact step solves a (K+1)-square system per row and active-set
 # iteration, at a cost cubic in K: at K = 64 (d = 8) a tenth of the sweeps
-# it saves, at K = 256 more than them (timed with lambda-coordinate sweeps
-# and not re-timed; the cheaper eigenvalue sweeps only widen that gap)
+# it saves, at K = 256 (d = 16) several times them, and a sixth of the d = 16
+# steps still go to Dykstra after their solves
 _EXACT_MAX_K = 64
 # rows still uncertified after this many active-set iterations go to the
 # slower, approximate Dykstra; at 10, eight times as many d = 8 steps did
@@ -524,8 +497,8 @@ _EXACT_MAX_ITERS = 20
 # may show and still count as the projection
 _KKT_TOL = 1e-12
 # keeps the masked system regular at degenerate vertices, where more
-# constraint rows are tight than are linearly independent; at 1e-14,
-# 15% of the d = 8 row-steps failed their certificate, at 1e-13 1%
+# constraint rows are tight than are linearly independent; the smallest
+# power of ten at which few d = 8 row-steps fail their certificate
 _KKT_RIDGE = 1e-13
 # a constraint this close to zero at the previous iterate starts active
 _TIGHT = 1e-9

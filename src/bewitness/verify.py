@@ -233,7 +233,8 @@ def _seesaw_try(runner, cfg: SeesawConfig):
     bound D/16 + SOUNDNESS_SLACK."""
     rep = runner(cfg)
     target, tol_low = SEESAW_TARGETS[cfg.channel_dim]
-    sound = max(rep.restart_values) <= cfg.channel_dim / 16 + SOUNDNESS_SLACK
+    bound = float(protocol.sep_upper_bound(cfg.channel_dim, 1))
+    sound = max(rep.restart_values) <= bound + SOUNDNESS_SLACK
     return rep.best_value >= target - tol_low, sound, rep
 
 

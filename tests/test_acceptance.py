@@ -63,11 +63,13 @@ def test_criterion_10_ccnr_ascent():
 
 
 def test_retry_reaches_the_target_on_a_fresh_seed():
-    # classical D=4 from seed 18 ends at 0.2421875; seed 1018 reaches 1/4
+    # five classical D=4 restarts from seed 4 end at 0.2421875; seed 1004
+    # reaches 1/4 (check 09's 50 restarts hit on the first try)
     hit, sound, tries, rep = verify._retried(
-        partial(verify._seesaw_try, seesaw_classical), SeesawConfig(channel_dim=4, seed=18))
+        partial(verify._seesaw_try, seesaw_classical),
+        SeesawConfig(channel_dim=4, n_restarts=5, seed=4))
     assert (hit, sound, tries) == (True, True, 2)
-    assert rep.seed == 18 + verify.RETRY_SEED_STEP
+    assert rep.seed == 4 + verify.RETRY_SEED_STEP
 
 
 def test_retry_stops_at_an_unsound_try_and_after_max_tries():

@@ -66,6 +66,19 @@ def test_every_cli_mix_kind_runs_and_passes(tmp_path, kind):
     assert outcome.ok, outcome.detail
 
 
+@pytest.mark.parametrize("kind", sorted({f"{k}-D{d}" for k, d in WORKLOADS.Seesaw.DECK}))
+def test_every_seesaw_deck_kind_runs_and_passes(tmp_path, kind):
+    """One job of each deck kind, drawn from the workload's own job stream,
+    so that the classical jobs are pinned here and not only by the
+    benchmark; at D=16 a single restart reaches the full value."""
+    wl = WORKLOADS.make("seesaw", tmp_path)
+    job = next(j for j in wl.jobs(WORKLOADS.job_rng("seesaw", 0)) if j.kind == kind)
+    outcome = wl.check(job, wl.execute(job))
+    assert outcome.ok, outcome.detail
+    if kind.endswith("-D16"):
+        assert outcome.hit, outcome.detail
+
+
 def _traced_calls(wl, job) -> dict:
     tracer = TRACER.Tracer()
     RUN.install_tracer(tracer, WORKLOADS)

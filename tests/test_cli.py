@@ -101,6 +101,10 @@ def _state_file(tmp_path, convention="k=4i+j+1", n_copies=1, entry=None, fields=
 REFUSALS = {
     "scaling-n-max-0": lambda tmp: ["scaling", "--n-max", "0"],
     "scaling-n-max-subnormal": lambda tmp: ["scaling", "--n-max", "512"],
+    "witness-n-copies-subnormal": lambda tmp: [
+        "witness", "--method", "closed", "--n-copies", "512"],
+    "witness-n-copies-zero-print": lambda tmp: [
+        "witness", "--method", "closed", "--n-copies", "760"],
     "state-info-missing-file": lambda tmp: ["state-info", "--state", str(tmp / "missing.json")],
     "state-info-wrong-tag": lambda tmp: [
         "state-info", "--state", _state_file(tmp, convention="k=4j+i+1")],
@@ -330,7 +334,7 @@ def test_seesaw_classical_csv_row(capsys):
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[0] == "seed,kind,channel_dim,best_value,converged"
-    assert lines[1] == "0,classical,4,0.2421875,True"
+    assert lines[1] == "0,classical,4,0.23046875,True"
     assert len(lines) == 2
 
 

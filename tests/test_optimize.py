@@ -159,50 +159,32 @@ def _reference_sweep(levels, other_norms, dim, rng):
 
 
 def _reference_classical_restart(cfg, restart):
-    """A classical restart as three nested loops (turns, phases, steps), the
-    form the one-loop `_classical_restart` replaced; same return tuple."""
+    """A classical restart as nested loops over cycles, moves and sides,
+    with the sweep scoring the common part; same return tuple as
+    `_classical_restart`."""
     rng = np.random.default_rng([cfg.seed, restart])
     d = cfg.channel_dim
-    levels_a = rng.integers(0, d, size=16)
-    levels_b = rng.integers(0, d, size=16)
-    norms_a = optimize._classical_norms(levels_a, d)
-    norms_b = optimize._classical_norms(levels_b, d)
-    w = optimize._WITNESS_SCALE * float(np.dot(norms_a, norms_b))
-    converged = flagged = False
-    iters = 0
-    moves = (optimize._classical_fixed_step, _reference_sweep, optimize._classical_swap_sweep)
-    for _ in range(cfg.max_iters):
-        w_turn = w
-        for move in moves:
-            for _ in range(cfg.max_iters):
-                if iters >= cfg.max_iters:
-                    break
-                iters += 1
-                levels_a = move(levels_a, norms_b, d, rng)
-                norms_a = optimize._classical_norms(levels_a, d)
-                levels_b = move(levels_b, norms_a, d, rng)
-                norms_b = optimize._classical_norms(levels_b, d)
-                w_new = optimize._WITNESS_SCALE * float(np.dot(norms_a, norms_b))
-                if w_new < w - optimize.MONOTONE_SLACK:
-                    flagged = True
-                    break
-                improved = w_new - w >= cfg.tol
-                w = w_new
-                if not improved:
-                    break
-            if flagged:
-                break
-        if flagged or iters >= cfg.max_iters:
-            break
-        if w - w_turn < cfg.tol:
-            converged = True
-            break
-    return levels_a, levels_b, w, iters, converged, flagged
+    levels = [rng.integers(0, d, size=16), rng.integers(0, d, size=16)]
+    norms = [optimize._classical_norms(lv, d) for lv in levels]
+    w = optimize._WITNESS_SCALE * float(np.dot(*norms))
+    for cycle in range(1, cfg.max_iters + 1):
+        w_start = w
+        for move in (optimize._classical_swap_sweep, _reference_sweep):
+            for side in (0, 1):
+                levels[side] = move(levels[side], norms[1 - side], d, rng)
+                norms[side] = optimize._classical_norms(levels[side], d)
+            w_new = optimize._WITNESS_SCALE * float(np.dot(*norms))
+            if w_new < w - optimize.MONOTONE_SLACK:
+                return levels[0], levels[1], w, cycle, False, True
+            w = w_new
+        if w - w_start < cfg.tol:
+            return levels[0], levels[1], w, cycle, True, False
+    return levels[0], levels[1], w, cfg.max_iters, False, False
 
 
 @pytest.mark.parametrize("slack", [None, -1e-4])
 def test_classical_restart_matches_nested_loop_reference(monkeypatch, slack):
-    # a negative slack flags every step that gains nothing
+    # a negative slack flags every move that gains nothing
     if slack is not None:
         monkeypatch.setattr(optimize, "MONOTONE_SLACK", slack)
     stops = set()
@@ -217,9 +199,20 @@ def test_classical_restart_matches_nested_loop_reference(monkeypatch, slack):
                     assert float(got[2]).hex() == float(want[2]).hex()
                     assert got[3:] == want[3:], (d, cap, seed, r)
                     stops.add((got[3] == cap,) + got[4:])
-    # capped, converged and (with the slack) flagged restarts all occur
-    assert stops == ({(True, False, False), (False, True, False)} if slack is None
-                     else {(True, False, False), (False, False, True), (True, False, True)})
+    # capped, converged, converged at the cap and (with the slack) flagged
+    # restarts all occur
+    assert stops == ({(True, False, False), (False, True, False), (True, True, False)}
+                     if slack is None else
+                     {(True, False, False), (False, False, True), (True, False, True)})
+
+
+@pytest.mark.parametrize("d,seed", [(4, 18), (4, 58), (4, 135), (8, 1), (8, 2), (8, 3)])
+def test_seesaw_classical_default_search_reaches_the_bound(d, seed):
+    # exchange first, then sweep: these seeds missed D/16 under the
+    # frozen-decoder step and three-phase turn the cycle replaced
+    rep = seesaw_classical(SeesawConfig(channel_dim=d, seed=seed))
+    assert rep.best_value == d / 16
+    assert rep.flagged_restarts == []
 
 
 def test_seesaw_quantum_sound_at_d4():
